@@ -924,6 +924,31 @@ std::shared_ptr<const UllsnnArtifact> UllsnnArtifact::load(const std::string& pa
          "header fingerprint disagrees with the architecture sections");
   }
 
+  // Prepare every synaptic weight once, at the precision the artifact serves
+  // (int8 from its quant-weights entry), for make_network to share.
+  art->prepared_.resize(art->tensors_.size());
+  std::vector<const QuantizedWeight*> quantized(art->tensors_.size(), nullptr);
+  for (const auto& [index, qw] : art->quant_weights_) {
+    quantized[static_cast<std::size_t>(index)] = &qw;
+  }
+  const auto prepare = [&](std::int32_t index) {
+    const auto i = static_cast<std::size_t>(index);
+    if (art->prepared_[i]) return;
+    const Tensor w = art->tensor_view(index);
+    const std::int64_t rows = w.dim(0);
+    const std::int64_t cols = rows > 0 ? w.numel() / rows : 0;
+    art->prepared_[i] = std::make_shared<const PreparedWeight>(
+        w.data(), rows, cols, art->precision(), quantized[i]);
+  };
+  for (const LayerDesc& l : art->arch_.layers) {
+    if (l.kind == LayerKind::kConv2d || l.kind == LayerKind::kLinear) prepare(l.weight);
+    if (l.kind == LayerKind::kResidual) {
+      prepare(l.weight);
+      prepare(l.weight2);
+      if (l.has_projection != 0) prepare(l.weight_projection);
+    }
+  }
+
   return art;
 }
 
@@ -953,23 +978,23 @@ std::unique_ptr<snn::SnnNetwork> UllsnnArtifact::make_network() const {
   auto net = std::make_unique<snn::SnnNetwork>(arch_.time_steps);
   net->set_encoding(static_cast<snn::Encoding>(arch_.encoding), arch_.encoder_seed);
   net->set_precision(precision());
-  // Which synapse owns each tensor-table index, so pre-quantized weights from
-  // the optional section land on the right layer below.
-  std::vector<snn::SynapticConv*> conv_of(tensors_.size(), nullptr);
-  std::vector<snn::SynapticLinear*> linear_of(tensors_.size(), nullptr);
+  // Every synapse gets the operand prepared at load: all replicas share it.
+  const auto prepared = [&](std::int32_t index) {
+    return prepared_[static_cast<std::size_t>(index)];
+  };
   for (const LayerDesc& l : arch_.layers) {
     switch (l.kind) {
       case LayerKind::kConv2d: {
         auto& layer = net->emplace<snn::SpikingConv2d>(
             tensor_view(l.weight), l.conv, to_if_config(l.neuron, path()));
-        conv_of[static_cast<std::size_t>(l.weight)] = &layer.synapse();
+        layer.synapse().set_prepared_weight(prepared(l.weight));
         break;
       }
       case LayerKind::kLinear: {
         auto& layer = net->emplace<snn::SpikingLinear>(
             tensor_view(l.weight), to_if_config(l.neuron, path()),
             l.with_neuron != 0);
-        linear_of[static_cast<std::size_t>(l.weight)] = &layer.synapse();
+        layer.synapse().set_prepared_weight(prepared(l.weight));
         break;
       }
       case LayerKind::kMaxPool:
@@ -990,22 +1015,14 @@ std::unique_ptr<snn::SnnNetwork> UllsnnArtifact::make_network() const {
             tensor_view(l.weight2), l.conv2, to_if_config(l.neuron2, path()),
             l.has_projection != 0 ? tensor_view(l.weight_projection) : Tensor(),
             l.projection);
-        conv_of[static_cast<std::size_t>(l.weight)] = &layer.conv1_synapse();
-        conv_of[static_cast<std::size_t>(l.weight2)] = &layer.conv2_synapse();
+        layer.conv1_synapse().set_prepared_weight(prepared(l.weight));
+        layer.conv2_synapse().set_prepared_weight(prepared(l.weight2));
         if (l.has_projection != 0) {
-          conv_of[static_cast<std::size_t>(l.weight_projection)] =
-              layer.projection_synapse_or_null();
+          layer.projection_synapse_or_null()->set_prepared_weight(
+              prepared(l.weight_projection));
         }
         break;
       }
-    }
-  }
-  for (const auto& [index, qw] : quant_weights_) {
-    const auto i = static_cast<std::size_t>(index);
-    if (snn::SynapticConv* conv = conv_of[i]) {
-      conv->set_quantized_weight(qw);
-    } else if (snn::SynapticLinear* linear = linear_of[i]) {
-      linear->set_quantized_weight(qw);
     }
   }
   return net;

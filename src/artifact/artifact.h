@@ -20,7 +20,10 @@
 // Serving (make_network): builds an SnnNetwork whose synaptic weights are
 // Tensor::borrow views straight into the mapping — worker spin-up is
 // O(layers) allocations plus page faults, not a parse-and-copy of every
-// parameter. Mutable runtime state (membranes, BPTT caches, encoder RNG) is
+// parameter. Each weight's kernel operand (W^T plus dense fp32 or int8
+// panels, see PreparedWeight) is built once at load and shared read-only by
+// every replica, so no request and no replica re-transposes or re-packs a
+// weight. Mutable runtime state (membranes, BPTT caches, encoder RNG) is
 // owned per replica, so the replicas are exactly as isolated as the
 // reset_state() contract requires. Callers must keep the artifact alive for
 // as long as any replica exists (ModelRegistry pins it with a shared_ptr).
@@ -171,8 +174,9 @@ class UllsnnArtifact {
   /// Per-sample input shape (probe inputs minus the batch dimension).
   Shape input_shape() const;
 
-  /// Build a worker replica: borrowed weight views over the mapping, owned
-  /// runtime state. O(layers), not O(parameters).
+  /// Build a worker replica: borrowed weight views over the mapping, the
+  /// shared prepared operands, owned runtime state. O(layers), not
+  /// O(parameters).
   std::unique_ptr<snn::SnnNetwork> make_network() const;
 
   /// True iff `p` points into this artifact's mapping — lets tests assert
@@ -189,6 +193,9 @@ class UllsnnArtifact {
   ArchDescriptor arch_;
   std::vector<TensorEntry> tensors_;
   std::vector<std::pair<std::int32_t, QuantizedWeight>> quant_weights_;
+  // Per tensor-table index: the operand every replica's synapse shares
+  // (null for tensors no synapse references).
+  std::vector<std::shared_ptr<const PreparedWeight>> prepared_;
   std::uint64_t fingerprint_ = 0;
   std::int64_t probe_time_steps_ = 0;
   Shape probe_input_shape_;

@@ -14,9 +14,11 @@
 // pooling argmax, dropout masks — via begin_sequence before the first time
 // step, so no membrane charge, cached input, or fault-injected corruption
 // from a previous call can leak into the next one. The ONLY state that
-// persists across calls is (a) trainable parameters, (b) accumulated
-// activity counters (reset_stats), and (c) the encoder and dropout RNG
-// stream positions. Direct encoding draws nothing from the encoder stream,
+// persists across calls is (a) trainable parameters, plus the prepared
+// kernel operands of borrowed (artifact) weights, which derive from
+// immutable memory and so cannot go stale, (b) accumulated activity
+// counters (reset_stats), and (c) the encoder and dropout RNG stream
+// positions. Direct encoding draws nothing from the encoder stream,
 // so for an inference-mode direct-encoded network two identical inputs
 // produce bitwise-identical logits regardless of what ran in between
 // (regression-tested in snn_network_test.cpp). For Poisson encoding, call

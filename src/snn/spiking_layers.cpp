@@ -1,6 +1,9 @@
 #include "src/snn/spiking_layers.h"
 
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace ullsnn::snn {
 
@@ -8,6 +11,34 @@ namespace {
 double nonzero_rate(std::int64_t nonzeros, std::int64_t elements) {
   return elements > 0 ? static_cast<double>(nonzeros) / static_cast<double>(elements)
                       : 0.0;
+}
+
+/// The operand for `weight` ([rows, ...], viewed as [rows, numel/rows]):
+/// `prepared` when it was built from the memory the weight reads now and has
+/// the dense panels asked for, else a fresh one built from the weight.
+const PreparedWeight& prepare(std::shared_ptr<const PreparedWeight>& prepared,
+                              const Tensor& weight, bool int8) {
+  // A const read: non-const data() would detach (copy) a borrowed weight.
+  const float* w = weight.data();
+  if (!prepared || prepared->source() != w ||
+      (int8 && prepared->int8_panels() == nullptr)) {
+    const std::int64_t rows = weight.dim(0);
+    const std::int64_t cols = rows > 0 ? weight.numel() / rows : 0;
+    prepared = std::make_shared<const PreparedWeight>(
+        w, rows, cols, int8 ? Precision::kInt8 : Precision::kFp32);
+  }
+  return *prepared;
+}
+
+void check_prepared(const PreparedWeight* prepared, const Tensor& weight,
+                    const char* who) {
+  if (prepared == nullptr || !weight.borrowed() || prepared->source() != weight.data() ||
+      prepared->rows() != weight.dim(0) ||
+      prepared->rows() * prepared->cols() != weight.numel()) {
+    throw std::invalid_argument(std::string(who) +
+                                ": prepared weight was not built from this "
+                                "layer's borrowed weight");
+  }
 }
 }  // namespace
 
@@ -33,46 +64,26 @@ SynapticConv::SynapticConv(Tensor weight, Conv2dSpec spec) : spec_(spec) {
 void SynapticConv::begin_sequence(std::int64_t time_steps, bool train) {
   cached_inputs_.clear();
   if (train) cached_inputs_.resize(static_cast<std::size_t>(time_steps));
-  wt_cache_.clear();  // weights may have changed since the last sequence
-  // Training is about to mutate the weights, so a derived int8 operand goes
-  // stale; a pinned (artifact) one is authoritative and survives.
-  if (train && !qweight_pinned_) qpacked_.clear();
+  drop_owned_operand();  // an owned weight may have changed since last sequence
 }
 
 void SynapticConv::set_precision(Precision precision) {
   precision_ = precision;
 }
 
-void SynapticConv::set_quantized_weight(const QuantizedWeight& qw) {
-  const std::int64_t rows = weight_.value.dim(0);
-  const std::int64_t cols = weight_.value.numel() / rows;
-  if (qw.rows != rows || qw.cols != cols) {
-    throw std::invalid_argument("SynapticConv: quantized weight is " +
-                                std::to_string(qw.rows) + "x" + std::to_string(qw.cols) +
-                                ", expected " + std::to_string(rows) + "x" +
-                                std::to_string(cols));
-  }
-  qpacked_.pack(qw);
-  qweight_pinned_ = true;
-}
-
-const QuantizedPackedB* SynapticConv::int8_operand(bool train) {
-  if (train || precision_ != Precision::kInt8) return nullptr;
-  if (qpacked_.empty()) {
-    const std::int64_t rows = weight_.value.dim(0);
-    qpacked_.pack(quantize_weight_per_row(weight_.value.data(), rows,
-                                          weight_.value.numel() / rows));
-  }
-  return &qpacked_;
+void SynapticConv::set_prepared_weight(std::shared_ptr<const PreparedWeight> prepared) {
+  check_prepared(prepared.get(), weight_.value, "SynapticConv");
+  prepared_ = std::move(prepared);
 }
 
 Tensor SynapticConv::forward(const Tensor& input, std::int64_t t, bool train) {
   Tensor out(output_shape(input.shape()));
   // Density dispatch (sparse spike kernel vs blocked GEMM); the dispatch scan
   // also produces the exact nonzero tally for the activity accounting.
-  conv2d_forward_spiking(input, weight_.value, out, spec_,
-                         kDefaultSpikeDensityThreshold, wt_cache_, stats_,
-                         int8_operand(train));
+  const bool int8 = !train && precision_ == Precision::kInt8;
+  conv2d_forward_spiking(input, prepare(prepared_, weight_.value, int8), out, spec_,
+                         kDefaultSpikeDensityThreshold,
+                         int8 ? Precision::kInt8 : Precision::kFp32, stats_);
   if (train) cached_inputs_[static_cast<std::size_t>(t)] = input;
   return out;
 }
@@ -119,32 +130,16 @@ SynapticLinear::SynapticLinear(Tensor weight) {
 void SynapticLinear::begin_sequence(std::int64_t time_steps, bool train) {
   cached_inputs_.clear();
   if (train) cached_inputs_.resize(static_cast<std::size_t>(time_steps));
-  wt_cache_.clear();  // weights may have changed since the last sequence
-  if (train && !qweight_pinned_) qpacked_.clear();  // see SynapticConv
+  drop_owned_operand();  // see SynapticConv
 }
 
 void SynapticLinear::set_precision(Precision precision) {
   precision_ = precision;
 }
 
-void SynapticLinear::set_quantized_weight(const QuantizedWeight& qw) {
-  if (qw.rows != out_features() || qw.cols != in_features()) {
-    throw std::invalid_argument("SynapticLinear: quantized weight is " +
-                                std::to_string(qw.rows) + "x" + std::to_string(qw.cols) +
-                                ", expected " + std::to_string(out_features()) + "x" +
-                                std::to_string(in_features()));
-  }
-  qpacked_.pack(qw);
-  qweight_pinned_ = true;
-}
-
-const QuantizedPackedB* SynapticLinear::int8_operand(bool train) {
-  if (train || precision_ != Precision::kInt8) return nullptr;
-  if (qpacked_.empty()) {
-    qpacked_.pack(quantize_weight_per_row(weight_.value.data(), out_features(),
-                                          in_features()));
-  }
-  return &qpacked_;
+void SynapticLinear::set_prepared_weight(std::shared_ptr<const PreparedWeight> prepared) {
+  check_prepared(prepared.get(), weight_.value, "SynapticLinear");
+  prepared_ = std::move(prepared);
 }
 
 Tensor SynapticLinear::forward(const Tensor& input, std::int64_t t, bool train) {
@@ -154,8 +149,10 @@ Tensor SynapticLinear::forward(const Tensor& input, std::int64_t t, bool train) 
   }
   const std::int64_t n = input.dim(0);
   Tensor out({n, out_features()});
-  linear_forward_spiking(input, weight_.value, out, kDefaultSpikeDensityThreshold,
-                         wt_cache_, stats_, int8_operand(train));
+  const bool int8 = !train && precision_ == Precision::kInt8;
+  linear_forward_spiking(input, weight_.value, prepare(prepared_, weight_.value, int8),
+                         out, kDefaultSpikeDensityThreshold,
+                         int8 ? Precision::kInt8 : Precision::kFp32, stats_);
   if (train) cached_inputs_[static_cast<std::size_t>(t)] = input;
   return out;
 }

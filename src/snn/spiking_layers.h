@@ -55,38 +55,44 @@ class SynapticConv {
   std::int64_t input_elements() const { return stats_.elements; }
   const SpikeKernelStats& kernel_stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
-  /// Drop cached inputs and the transposed-weight cache (isolation contract).
-  /// A pinned (artifact-installed) quantized weight is parameter-like and
-  /// survives; a derived one is a cache and is dropped.
+  /// Drop cached inputs and, for an owned weight, the prepared operand
+  /// (isolation contract). An operand prepared from a borrowed weight is
+  /// parameter-like and survives: borrowed memory is immutable.
   void clear_runtime_state() {
     cached_inputs_.clear();
-    wt_cache_.clear();
-    if (!qweight_pinned_) qpacked_.clear();
+    drop_owned_operand();
   }
 
   /// Inference precision: int8 applies to the eval-mode dense forward only
-  /// (training steps and sparse samples stay fp32). Without a pinned weight
-  /// the int8 operand is derived from the fp32 weight lazily and re-derived
-  /// after any training sequence.
+  /// (training steps and sparse samples stay fp32).
   void set_precision(Precision precision);
   Precision precision() const { return precision_; }
-  /// Install pre-quantized weights (from an artifact); pins the operand so it
-  /// is never re-derived from the fp32 weight. Throws on shape mismatch.
-  void set_quantized_weight(const QuantizedWeight& qw);
+
+  /// Install an operand prepared from this layer's borrowed weight (an
+  /// artifact shares one across all its replicas). Throws unless it was
+  /// prepared from exactly the memory the weight reads.
+  void set_prepared_weight(std::shared_ptr<const PreparedWeight> prepared);
+  /// The installed operand, or the one the last forward built; null before
+  /// either.
+  const std::shared_ptr<const PreparedWeight>& prepared_weight() const {
+    return prepared_;
+  }
 
  private:
-  const QuantizedPackedB* int8_operand(bool train);
+  void drop_owned_operand() {
+    if (!weight_.value.borrowed()) prepared_.reset();
+  }
 
   Param weight_;
   Conv2dSpec spec_;
   std::vector<Tensor> cached_inputs_;
-  // Transposed-weight cache for the spiking kernels; invalidated each
-  // begin_sequence (weights only change between sequences).
-  std::vector<float> wt_cache_;
+  // W^T plus dense panels. A borrowed weight's operand is permanent (shared
+  // across replicas when the artifact installs it); an owned weight's is
+  // built on first use and dropped every begin_sequence, because owned
+  // weights may be written in place between sequences.
+  std::shared_ptr<const PreparedWeight> prepared_;
   SpikeKernelStats stats_;
   Precision precision_ = Precision::kFp32;
-  QuantizedPackedB qpacked_;
-  bool qweight_pinned_ = false;
 };
 
 class SynapticLinear {
@@ -107,29 +113,30 @@ class SynapticLinear {
   std::int64_t input_elements() const { return stats_.elements; }
   const SpikeKernelStats& kernel_stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
-  /// Drop cached inputs and the transposed-weight cache (isolation contract).
-  /// Same pinned-vs-derived quantized-weight rule as SynapticConv.
+  /// Same operand lifetime rule as SynapticConv.
   void clear_runtime_state() {
     cached_inputs_.clear();
-    wt_cache_.clear();
-    if (!qweight_pinned_) qpacked_.clear();
+    drop_owned_operand();
   }
 
-  /// Same int8 contract as SynapticConv.
+  /// Same int8 and prepared-operand contract as SynapticConv.
   void set_precision(Precision precision);
   Precision precision() const { return precision_; }
-  void set_quantized_weight(const QuantizedWeight& qw);
+  void set_prepared_weight(std::shared_ptr<const PreparedWeight> prepared);
+  const std::shared_ptr<const PreparedWeight>& prepared_weight() const {
+    return prepared_;
+  }
 
  private:
-  const QuantizedPackedB* int8_operand(bool train);
+  void drop_owned_operand() {
+    if (!weight_.value.borrowed()) prepared_.reset();
+  }
 
   Param weight_;
   std::vector<Tensor> cached_inputs_;
-  std::vector<float> wt_cache_;  // [in, out] W^T; invalidated per sequence
+  std::shared_ptr<const PreparedWeight> prepared_;  // see SynapticConv
   SpikeKernelStats stats_;
   Precision precision_ = Precision::kFp32;
-  QuantizedPackedB qpacked_;
-  bool qweight_pinned_ = false;
 };
 
 // ---------------------------------------------------------------------------

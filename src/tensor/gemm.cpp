@@ -176,7 +176,26 @@ float* pack_a_block(MatView a, std::int64_t ic, std::int64_t mc, std::int64_t pc
 
 }  // namespace
 
+std::size_t PackedB::packed_floats(std::int64_t k, std::int64_t n) {
+  // Every K block covers the whole N extent in ceil(nc/NR) zero-padded
+  // panels, so the total is k rows of n rounded up per N block.
+  const std::int64_t nr = kernel_plan().fp32_nr;
+  std::int64_t padded_n = 0;
+  for (std::int64_t jc = 0; jc < n; jc += kNC) {
+    padded_n += ceil_div(std::min(kNC, n - jc), nr) * nr;
+  }
+  return static_cast<std::size_t>(k * padded_n);
+}
+
+bool PackedB::packed_for_active_plan() const {
+  return nr_ == kernel_plan().fp32_nr;
+}
+
 void PackedB::pack(MatView b, std::int64_t k, std::int64_t n, Arena& arena) {
+  pack(b, k, n, arena.alloc_floats(packed_floats(k, n)));
+}
+
+void PackedB::pack(MatView b, std::int64_t k, std::int64_t n, float* storage) {
   k_ = k;
   n_ = n;
   nr_ = kernel_plan().fp32_nr;
@@ -187,7 +206,8 @@ void PackedB::pack(MatView b, std::int64_t k, std::int64_t n, Arena& arena) {
     for (std::int64_t pc = 0; pc < k; pc += kKC) {
       const std::int64_t kc = std::min(kKC, k - pc);
       const std::int64_t panels = ceil_div(nc, nr);
-      float* data = arena.alloc_floats(static_cast<std::size_t>(panels * kc * nr));
+      float* data = storage;
+      storage += panels * kc * nr;
       for (std::int64_t j0 = 0; j0 < nc; j0 += nr) {
         float* dst = data + (j0 / nr) * kc * nr;
         const std::int64_t jr = std::min(nr, nc - j0);

@@ -59,18 +59,27 @@ inline MatView transposed(const float* data, std::int64_t ld) {
 }
 
 /// Right-hand operand packed once into micro-kernel panel layout, reusable
-/// across any number of gemm_packed calls. Panels live in the arena passed to
-/// pack(), so the PackedB must not outlive that arena's enclosing ArenaScope.
+/// across any number of gemm_packed calls. Panels live in caller-provided
+/// storage (an arena, or a buffer the caller owns), which must outlive the
+/// PackedB.
 class PackedB {
  public:
-  /// Pack the [k, n] matrix viewed by `b` into panels allocated from `arena`.
+  /// Pack the [k, n] matrix viewed by `b` into panels allocated from `arena`;
+  /// the PackedB must not outlive that arena's enclosing ArenaScope.
   /// Panels are laid out for the kernel plan active at pack time; gemm_packed
   /// rejects a PackedB packed under a different plan (re-pack after
   /// set_kernel_isa_for_testing).
   void pack(MatView b, std::int64_t k, std::int64_t n, Arena& arena);
+  /// Same panels, written to `storage`, which must hold packed_floats(k, n)
+  /// floats.
+  void pack(MatView b, std::int64_t k, std::int64_t n, float* storage);
+  /// Floats pack() writes for a [k, n] operand under the active plan.
+  static std::size_t packed_floats(std::int64_t k, std::int64_t n);
 
   std::int64_t k() const { return k_; }
   std::int64_t n() const { return n_; }
+  /// True iff the panels fit the active kernel plan (gemm_packed accepts them).
+  bool packed_for_active_plan() const;
 
  private:
   friend void gemm_packed(MatView a, const PackedB& b, float* c, std::int64_t m,

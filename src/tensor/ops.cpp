@@ -482,14 +482,40 @@ void conv_sample_sparse(const float* img, const float* wt, float* out_t,
   }
 }
 
-}  // namespace
+/// W [rows, cols] -> W^T [cols, rows], in square tiles so both the reads and
+/// the strided writes stay in L1. 16 rows of a power-of-two stride still fit
+/// the L1 ways they alias into; 32 do not, and run as slowly as no tiling.
+void transpose_weight(const float* w, std::int64_t rows, std::int64_t cols,
+                      float* wt) {
+  constexpr std::int64_t kTile = 16;
+  for (std::int64_t r0 = 0; r0 < rows; r0 += kTile) {
+    const std::int64_t r1 = std::min(rows, r0 + kTile);
+    for (std::int64_t c0 = 0; c0 < cols; c0 += kTile) {
+      const std::int64_t c1 = std::min(cols, c0 + kTile);
+      for (std::int64_t r = r0; r < r1; ++r) {
+        for (std::int64_t c = c0; c < c1; ++c) wt[c * rows + r] = w[r * cols + c];
+      }
+    }
+  }
+}
 
-void conv2d_forward_spiking(const Tensor& input, const Tensor& weight,
-                            Tensor& output, const Conv2dSpec& spec,
-                            float density_threshold,
-                            std::vector<float>& wt_cache,
-                            SpikeKernelStats& stats,
-                            const QuantizedPackedB* qweight) {
+void check_qweight(const QuantizedPackedB* qweight, std::int64_t k, std::int64_t n,
+                   const char* who) {
+  if (qweight != nullptr && (qweight->k() != k || qweight->n() != n)) {
+    throw std::invalid_argument(std::string(who) + ": quantized weight is " +
+                                std::to_string(qweight->k()) + "x" +
+                                std::to_string(qweight->n()) + ", expected " +
+                                std::to_string(k) + "x" + std::to_string(n));
+  }
+}
+
+/// Body shared by both conv2d_forward_spiking forms. `wt` is the [patch, Cout]
+/// transposed weight; dense fp32 samples use `panels` when given, else pack
+/// `wt` into the arena for this call.
+void conv_spiking(const Tensor& input, const float* wt, const PackedB* panels,
+                  const QuantizedPackedB* qweight, Tensor& output,
+                  const Conv2dSpec& spec, float density_threshold,
+                  SpikeKernelStats& stats) {
   const std::int64_t batch = input.dim(0);
   const std::int64_t height = input.dim(2);
   const std::int64_t width = input.dim(3);
@@ -497,31 +523,14 @@ void conv2d_forward_spiking(const Tensor& input, const Tensor& weight,
   const std::int64_t cout = spec.out_channels;
   const std::int64_t patch = spec.in_channels * spec.kernel * spec.kernel;
   const std::int64_t chw = spec.in_channels * height * width;
-  check_conv_input(input, spec, "conv2d_forward_spiking");
-  if (wt_cache.empty()) {
-    // [Cout, patch] -> [patch, Cout]; rebuilt only after begin_sequence
-    // invalidates it, so the transpose amortizes over the T time steps.
-    wt_cache.resize(static_cast<std::size_t>(patch * cout));
-    const float* w = weight.data();
-    for (std::int64_t co = 0; co < cout; ++co) {
-      for (std::int64_t p = 0; p < patch; ++p) {
-        wt_cache[static_cast<std::size_t>(p * cout + co)] = w[co * patch + p];
-      }
-    }
-  }
-  if (qweight != nullptr && (qweight->k() != patch || qweight->n() != cout)) {
-    throw std::invalid_argument("conv2d_forward_spiking: quantized weight is " +
-                                std::to_string(qweight->k()) + "x" +
-                                std::to_string(qweight->n()) + ", expected " +
-                                std::to_string(patch) + "x" + std::to_string(cout));
-  }
   Arena& arena = thread_arena();
   ArenaScope scope(arena);
   // With an int8 weight installed, dense samples never touch the fp32 packed
   // panels — skip the packing work entirely.
   PackedB wt_packed;
-  if (qweight == nullptr) {
-    wt_packed.pack(row_major(wt_cache.data(), cout), patch, cout, arena);
+  if (qweight == nullptr && panels == nullptr) {
+    wt_packed.pack(row_major(wt, cout), patch, cout, arena);
+    panels = &wt_packed;
   }
   std::int64_t* nnz = arena.alloc_indices(static_cast<std::size_t>(batch));
   const auto run_sample = [&](std::int64_t n) {
@@ -537,7 +546,7 @@ void conv2d_forward_spiking(const Tensor& input, const Tensor& weight,
     float* out_t = local.alloc_floats(static_cast<std::size_t>(ohw * cout));
     if (sparse) {
       std::memset(out_t, 0, static_cast<std::size_t>(ohw * cout) * sizeof(float));
-      conv_sample_sparse(img, wt_cache.data(), out_t, spec, height, width);
+      conv_sample_sparse(img, wt, out_t, spec, height, width);
     } else {
       float* rows = local.alloc_floats(static_cast<std::size_t>(ohw * patch));
       im2row(img, rows, spec.in_channels, height, width, spec);
@@ -545,7 +554,7 @@ void conv2d_forward_spiking(const Tensor& input, const Tensor& weight,
         gemm_packed_int8(row_major(rows, patch), *qweight, out_t, ohw,
                          /*accumulate=*/false);
       } else {
-        gemm_packed(row_major(rows, patch), wt_packed, out_t, ohw, /*accumulate=*/false);
+        gemm_packed(row_major(rows, patch), *panels, out_t, ohw, /*accumulate=*/false);
       }
     }
     transpose_to_nchw(out_t, output.data() + n * cout * ohw, nullptr, cout, ohw);
@@ -570,20 +579,17 @@ void conv2d_forward_spiking(const Tensor& input, const Tensor& weight,
   ULLSNN_COUNTER_ADD("kernel.conv.spike_dispatch", batch);
 }
 
-void linear_forward_spiking(const Tensor& input, const Tensor& weight,
-                            Tensor& output, float density_threshold,
-                            std::vector<float>& wt_cache,
-                            SpikeKernelStats& stats,
-                            const QuantizedPackedB* qweight) {
+/// Body shared by both linear_forward_spiking forms. `transposed_weight()`
+/// yields the [in, out] W^T and is called only when the sparse kernel runs;
+/// dense fp32 inputs use `panels` when given, else matmul_bt packs per call.
+template <typename TransposedWeight>
+void linear_spiking(const Tensor& input, const Tensor& weight,
+                    TransposedWeight&& transposed_weight, const PackedB* panels,
+                    const QuantizedPackedB* qweight, Tensor& output,
+                    float density_threshold, SpikeKernelStats& stats) {
   const std::int64_t m = input.dim(0);
   const std::int64_t in = weight.dim(1);
   const std::int64_t out = weight.dim(0);
-  if (qweight != nullptr && (qweight->k() != in || qweight->n() != out)) {
-    throw std::invalid_argument("linear_forward_spiking: quantized weight is " +
-                                std::to_string(qweight->k()) + "x" +
-                                std::to_string(qweight->n()) + ", expected " +
-                                std::to_string(in) + "x" + std::to_string(out));
-  }
   // The dispatch scan doubles as the activity count (see conv above).
   const std::int64_t nnz = count_nonzeros_raw(input.data(), m * in);
   stats.nonzeros += nnz;
@@ -592,28 +598,137 @@ void linear_forward_spiking(const Tensor& input, const Tensor& weight,
                       static_cast<double>(density_threshold) *
                           static_cast<double>(m * in);
   if (sparse) {
-    if (wt_cache.empty()) {
-      wt_cache.resize(static_cast<std::size_t>(in * out));
-      const float* w = weight.data();
-      for (std::int64_t o = 0; o < out; ++o) {
-        for (std::int64_t i = 0; i < in; ++i) {
-          wt_cache[static_cast<std::size_t>(i * out + o)] = w[o * in + i];
-        }
-      }
-    }
-    spmm_row_compressed(input.data(), wt_cache.data(), output.data(), m, in, out,
+    spmm_row_compressed(input.data(), transposed_weight(), output.data(), m, in, out,
                         /*accumulate=*/false);
     stats.sparse_samples += m;
   } else {
     if (qweight != nullptr) {
       gemm_packed_int8(row_major(input.data(), in), *qweight, output.data(), m,
                        /*accumulate=*/false);
+    } else if (panels != nullptr && !use_naive(m, in, out)) {
+      // Exactly what matmul_bt runs at this shape, minus the packing.
+      gemm_packed(row_major(input.data(), in), *panels, output.data(), m,
+                  /*accumulate=*/false);
     } else {
       matmul_bt(input.data(), weight.data(), output.data(), m, in, out);
     }
     stats.dense_samples += m;
   }
   ULLSNN_COUNTER_ADD("kernel.linear.spike_dispatch", m);
+}
+
+const QuantizedPackedB* prepared_int8(const PreparedWeight& prepared,
+                                      Precision precision, const char* who) {
+  if (precision != Precision::kInt8) return nullptr;
+  const QuantizedPackedB* q = prepared.int8_panels();
+  if (q == nullptr) {
+    throw std::invalid_argument(std::string(who) +
+                                ": int8 requested but the weight has no int8 panels");
+  }
+  return q;
+}
+
+}  // namespace
+
+PreparedWeight::PreparedWeight(const float* w, std::int64_t rows, std::int64_t cols,
+                               Precision precision, const QuantizedWeight* quantized)
+    : source_(w),
+      rows_(rows),
+      cols_(cols),
+      wt_(static_cast<std::size_t>(rows * cols)) {
+  transpose_weight(w, rows, cols, wt_.data());
+  if (precision == Precision::kInt8) {
+    if (quantized != nullptr && (quantized->rows != rows || quantized->cols != cols)) {
+      throw std::invalid_argument("PreparedWeight: quantized weight is " +
+                                  std::to_string(quantized->rows) + "x" +
+                                  std::to_string(quantized->cols) + ", expected " +
+                                  std::to_string(rows) + "x" + std::to_string(cols));
+    }
+    int8_.pack(quantized != nullptr ? *quantized
+                                    : quantize_weight_per_row(w, rows, cols));
+    has_int8_ = true;
+  } else {
+    panel_storage_.resize(PackedB::packed_floats(cols, rows));
+    fp32_.pack(row_major(wt_.data(), rows), cols, rows, panel_storage_.data());
+    has_fp32_ = true;
+  }
+}
+
+const PackedB* PreparedWeight::fp32_panels() const {
+  return has_fp32_ && fp32_.packed_for_active_plan() ? &fp32_ : nullptr;
+}
+
+void conv2d_forward_spiking(const Tensor& input, const PreparedWeight& prepared,
+                            Tensor& output, const Conv2dSpec& spec,
+                            float density_threshold, Precision precision,
+                            SpikeKernelStats& stats) {
+  check_conv_input(input, spec, "conv2d_forward_spiking");
+  const std::int64_t patch = spec.in_channels * spec.kernel * spec.kernel;
+  if (prepared.rows() != spec.out_channels || prepared.cols() != patch) {
+    throw std::invalid_argument("conv2d_forward_spiking: prepared weight is " +
+                                std::to_string(prepared.rows()) + "x" +
+                                std::to_string(prepared.cols()) + ", expected " +
+                                std::to_string(spec.out_channels) + "x" +
+                                std::to_string(patch));
+  }
+  conv_spiking(input, prepared.transposed(), prepared.fp32_panels(),
+               prepared_int8(prepared, precision, "conv2d_forward_spiking"), output,
+               spec, density_threshold, stats);
+}
+
+void linear_forward_spiking(const Tensor& input, const Tensor& weight,
+                            const PreparedWeight& prepared, Tensor& output,
+                            float density_threshold, Precision precision,
+                            SpikeKernelStats& stats) {
+  if (prepared.rows() != weight.dim(0) || prepared.cols() != weight.dim(1)) {
+    throw std::invalid_argument("linear_forward_spiking: prepared weight is " +
+                                std::to_string(prepared.rows()) + "x" +
+                                std::to_string(prepared.cols()) + ", weight is " +
+                                shape_to_string(weight.shape()));
+  }
+  linear_spiking(
+      input, weight, [&] { return prepared.transposed(); }, prepared.fp32_panels(),
+      prepared_int8(prepared, precision, "linear_forward_spiking"), output,
+      density_threshold, stats);
+}
+
+void conv2d_forward_spiking(const Tensor& input, const Tensor& weight,
+                            Tensor& output, const Conv2dSpec& spec,
+                            float density_threshold,
+                            std::vector<float>& wt_cache,
+                            SpikeKernelStats& stats,
+                            const QuantizedPackedB* qweight) {
+  const std::int64_t cout = spec.out_channels;
+  const std::int64_t patch = spec.in_channels * spec.kernel * spec.kernel;
+  check_conv_input(input, spec, "conv2d_forward_spiking");
+  if (wt_cache.empty()) {
+    // [Cout, patch] -> [patch, Cout]; rebuilt only after the caller clears
+    // it, so the transpose amortizes over the T time steps.
+    wt_cache.resize(static_cast<std::size_t>(patch * cout));
+    transpose_weight(weight.data(), cout, patch, wt_cache.data());
+  }
+  check_qweight(qweight, patch, cout, "conv2d_forward_spiking");
+  conv_spiking(input, wt_cache.data(), /*panels=*/nullptr, qweight, output, spec,
+               density_threshold, stats);
+}
+
+void linear_forward_spiking(const Tensor& input, const Tensor& weight,
+                            Tensor& output, float density_threshold,
+                            std::vector<float>& wt_cache,
+                            SpikeKernelStats& stats,
+                            const QuantizedPackedB* qweight) {
+  const std::int64_t in = weight.dim(1);
+  const std::int64_t out = weight.dim(0);
+  check_qweight(qweight, in, out, "linear_forward_spiking");
+  const auto transposed_weight = [&] {
+    if (wt_cache.empty()) {
+      wt_cache.resize(static_cast<std::size_t>(in * out));
+      transpose_weight(weight.data(), out, in, wt_cache.data());
+    }
+    return static_cast<const float*>(wt_cache.data());
+  };
+  linear_spiking(input, weight, transposed_weight, /*panels=*/nullptr, qweight,
+                 output, density_threshold, stats);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@
 // inputs below the density threshold take a row-compressed sparse kernel
 // whose cost scales with the spike count, and the nonzero tally the dispatch
 // scan produces is returned so layers get their activity accounting for free
-// (no separate counting pass; see docs/performance.md).
+// (no separate counting pass; see docs/performance.md). Their PreparedWeight
+// forms take the weight already transposed and packed, so a served request
+// neither transposes nor packs any weight.
 #pragma once
 
 #include <cstdint>
@@ -117,28 +119,84 @@ struct SpikeKernelStats {
   std::int64_t dense_samples = 0;   // samples dispatched to the dense kernel
 };
 
+/// A synaptic weight W [rows, cols] (conv: [Cout, Cin*K*K]; linear:
+/// [out, in]) prepared once for the spiking kernels:
+///  - W^T [cols, rows], which the sparse conv scatter and
+///    spmm_row_compressed read;
+///  - at kFp32, W^T packed into GEMM panels (owned storage) for dense samples;
+///  - at kInt8, the int8 panels for dense samples, packed from `quantized`
+///    when given, else from quantize_weight_per_row(W).
+/// Read-only after construction, so one instance may serve any number of
+/// network replicas and threads at once. The panels are the bytes the
+/// per-call path packs, so results are bitwise identical to it. `w` is copied;
+/// its address is remembered only so owners can tell which weight this was
+/// prepared from.
+class PreparedWeight {
+ public:
+  PreparedWeight(const float* w, std::int64_t rows, std::int64_t cols,
+                 Precision precision, const QuantizedWeight* quantized = nullptr);
+  PreparedWeight(const PreparedWeight&) = delete;
+  PreparedWeight& operator=(const PreparedWeight&) = delete;
+
+  const float* source() const { return source_; }
+  std::int64_t rows() const { return rows_; }
+  std::int64_t cols() const { return cols_; }
+  const float* transposed() const { return wt_.data(); }
+  /// Dense fp32 panels; null when prepared for int8, or when the kernel plan
+  /// changed since (set_kernel_isa_for_testing) — callers then pack per call.
+  const PackedB* fp32_panels() const;
+  /// Dense int8 panels; null unless prepared for int8.
+  const QuantizedPackedB* int8_panels() const {
+    return has_int8_ ? &int8_ : nullptr;
+  }
+
+ private:
+  const float* source_;
+  std::int64_t rows_;
+  std::int64_t cols_;
+  std::vector<float> wt_;
+  std::vector<float> panel_storage_;
+  PackedB fp32_;
+  bool has_fp32_ = false;
+  QuantizedPackedB int8_;
+  bool has_int8_ = false;
+};
+
 /// Forward convolution with per-sample density dispatch: samples whose input
 /// density is <= `density_threshold` run an event-style scatter over the
 /// nonzero pixels (cost ~ nnz * K^2 * Cout); the rest run the blocked dense
-/// path. `wt_cache` caches the [Cin*K*K, Cout] transposed weight — the caller
-/// owns it and must clear() it whenever the weight changes (layers do this in
-/// begin_sequence). The dispatch scan counts nonzeros exactly and accumulates
-/// them into `stats`, which replaces the layers' standalone counting pass.
-/// When `qweight` (packed from the [Cout, Cin*K*K] weight) is non-null, dense
-/// samples run the int8 kernel against it instead of the fp32 blocked GEMM;
-/// sparse samples keep the fp32 scatter (the dispatch is deterministic, so
-/// mixed-precision results stay reproducible).
+/// path. The dispatch scan counts nonzeros exactly and accumulates them into
+/// `stats`, which replaces the layers' standalone counting pass. `prepared`
+/// holds the weight's transposed and packed forms; at kInt8, dense samples
+/// run the int8 kernel against prepared.int8_panels() (which must exist)
+/// instead of the fp32 blocked GEMM; sparse samples keep the fp32 scatter
+/// (the dispatch is deterministic, so mixed-precision results stay
+/// reproducible).
+void conv2d_forward_spiking(const Tensor& input, const PreparedWeight& prepared,
+                            Tensor& output, const Conv2dSpec& spec,
+                            float density_threshold, Precision precision,
+                            SpikeKernelStats& stats);
+
+/// Fully-connected forward (out[N,out] = input[N,in] * W^T) with the same
+/// density dispatch: sparse inputs take the row-compressed spike GEMM against
+/// prepared.transposed(). `weight` is the W `prepared` was built from (the
+/// small-shape dense path reads it directly). Same int8 contract as above.
+void linear_forward_spiking(const Tensor& input, const Tensor& weight,
+                            const PreparedWeight& prepared, Tensor& output,
+                            float density_threshold, Precision precision,
+                            SpikeKernelStats& stats);
+
+/// Per-call forms of the two entry points above, with identical results.
+/// `wt_cache` caches the transposed weight — the caller owns it and must
+/// clear() it whenever the weight changes — and dense fp32 samples pack their
+/// GEMM panels on every call. When `qweight` (packed from the [rows, cols]
+/// weight) is non-null, dense samples run the int8 kernel against it.
 void conv2d_forward_spiking(const Tensor& input, const Tensor& weight,
                             Tensor& output, const Conv2dSpec& spec,
                             float density_threshold,
                             std::vector<float>& wt_cache,
                             SpikeKernelStats& stats,
                             const QuantizedPackedB* qweight = nullptr);
-
-/// Fully-connected forward (out[N,out] = input[N,in] * W^T) with the same
-/// density dispatch: sparse inputs take the row-compressed spike GEMM against
-/// the cached [in, out] transposed weight. Same `wt_cache` contract as above;
-/// same optional int8 dense path (`qweight` packed from the [out, in] weight).
 void linear_forward_spiking(const Tensor& input, const Tensor& weight,
                             Tensor& output, float density_threshold,
                             std::vector<float>& wt_cache,

@@ -24,25 +24,48 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
+void JobBoard::publish(const Job* job, std::int64_t count) {
+  job_ = job;
+  job_count_ = count;
+  next_index_ = 0;
+  ++generation_;
+}
+
+const JobBoard::Job* JobBoard::join(std::uint64_t gen) {
+  if (gen != generation_ || job_ == nullptr) return nullptr;
+  ++active_;
+  return job_;
+}
+
+std::int64_t JobBoard::claim(std::uint64_t gen) {
+  if (gen != generation_ || next_index_ >= job_count_) return -1;
+  return next_index_++;
+}
+
+bool JobBoard::leave() {
+  --active_;
+  return active_ == 0;
+}
+
 void ThreadPool::worker_loop() {
   std::uint64_t seen_generation = 0;
   while (true) {
-    const std::function<void(std::int64_t)>* job = nullptr;
+    const JobBoard::Job* job = nullptr;
     {
       MutexLock lock(mutex_);
-      while (!shutdown_ && generation_ == seen_generation) wake_.wait(mutex_);
+      while (!shutdown_ && board_.generation() == seen_generation) wake_.wait(mutex_);
       if (shutdown_) return;
-      seen_generation = generation_;
-      job = job_;
-      ++active_;
+      seen_generation = board_.generation();
+      job = board_.join(seen_generation);
     }
+    if (job == nullptr) continue;  // woke after that run() had already returned
     while (true) {
       std::int64_t index;
       {
         MutexLock lock(mutex_);
-        if (next_index_ >= job_count_) break;
-        index = next_index_++;
+        index = board_.claim(seen_generation);
       }
+      if (index < 0) break;
       try {
         (*job)(index);
       } catch (...) {
@@ -51,8 +74,7 @@ void ThreadPool::worker_loop() {
     }
     {
       MutexLock lock(mutex_);
-      --active_;
-      if (active_ == 0) done_.notify_all();
+      if (board_.leave()) done_.notify_all();
     }
   }
 }
@@ -60,7 +82,7 @@ void ThreadPool::worker_loop() {
 void ThreadPool::record_error(std::exception_ptr error) {
   MutexLock lock(mutex_);
   if (!job_error_) job_error_ = std::move(error);
-  next_index_ = job_count_;  // stop handing out further iterations
+  board_.stop();  // stop handing out further iterations
 }
 
 void ThreadPool::run(std::int64_t count, const std::function<void(std::int64_t)>& fn) {
@@ -69,13 +91,12 @@ void ThreadPool::run(std::int64_t count, const std::function<void(std::int64_t)>
     for (std::int64_t i = 0; i < count; ++i) fn(i);
     return;
   }
+  std::uint64_t generation;
   {
     MutexLock lock(mutex_);
-    job_ = &fn;
-    job_count_ = count;
-    next_index_ = 0;
+    board_.publish(&fn, count);
+    generation = board_.generation();
     job_error_ = nullptr;
-    ++generation_;
   }
   wake_.notify_all();
   // The calling thread also works, then waits for the stragglers.
@@ -83,9 +104,9 @@ void ThreadPool::run(std::int64_t count, const std::function<void(std::int64_t)>
     std::int64_t index;
     {
       MutexLock lock(mutex_);
-      if (next_index_ >= job_count_) break;
-      index = next_index_++;
+      index = board_.claim(generation);
     }
+    if (index < 0) break;
     try {
       fn(index);
     } catch (...) {
@@ -95,8 +116,8 @@ void ThreadPool::run(std::int64_t count, const std::function<void(std::int64_t)>
   std::exception_ptr error;
   {
     MutexLock lock(mutex_);
-    while (active_ != 0) done_.wait(mutex_);
-    job_ = nullptr;
+    while (!board_.idle()) done_.wait(mutex_);
+    board_.retire();
     error = std::exchange(job_error_, nullptr);
   }
   // Rethrow outside the lock so the pool stays usable from a catch block.

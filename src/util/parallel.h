@@ -17,6 +17,46 @@
 
 namespace ullsnn {
 
+/// ThreadPool's run()/worker handshake as a plain state machine. It does no
+/// locking of its own: ThreadPool calls every member under its mutex. It is
+/// split out so the interleaving model checker (tests/sched) can drive this
+/// exact protocol without the condition-variable waits around it.
+///
+/// Two rules keep a job pointer from outliving its run(). A worker holds the
+/// job only between a successful join() and its leave(), and run() retires
+/// the job only once idle(), so a worker that wakes after run() returned
+/// gets nothing to call. claim() hands out an index only for the generation
+/// the caller joined, so a worker can never take an index of a later job.
+class JobBoard {
+ public:
+  using Job = std::function<void(std::int64_t)>;
+
+  /// run(): publish `job` over indices [0, count) as a new generation.
+  void publish(const Job* job, std::int64_t count);
+  std::uint64_t generation() const { return generation_; }
+  /// Worker: hold the job of generation `gen`; null once that job is retired
+  /// or superseded. A non-null result must be released with leave().
+  const Job* join(std::uint64_t gen);
+  /// Next index of generation `gen`'s job; -1 when none is left or the board
+  /// has moved on to another generation.
+  std::int64_t claim(std::uint64_t gen);
+  /// Worker: release the job; true when no worker holds it any more.
+  bool leave();
+  /// Hand out no further indices of the current job (first failure).
+  void stop() { next_index_ = job_count_; }
+  /// run(): true when no worker holds the job.
+  bool idle() const { return active_ == 0; }
+  /// run(): forget the job. Call only when idle().
+  void retire() { job_ = nullptr; }
+
+ private:
+  const Job* job_ = nullptr;
+  std::int64_t job_count_ = 0;
+  std::int64_t next_index_ = 0;
+  std::int64_t active_ = 0;
+  std::uint64_t generation_ = 0;
+};
+
 class ThreadPool {
  public:
   /// Spawns `threads` workers (0 or 1 => no workers; run() executes inline).
@@ -50,11 +90,7 @@ class ThreadPool {
   Mutex mutex_;
   CondVar wake_;
   CondVar done_;
-  const std::function<void(std::int64_t)>* job_ GUARDED_BY(mutex_) = nullptr;
-  std::int64_t job_count_ GUARDED_BY(mutex_) = 0;
-  std::int64_t next_index_ GUARDED_BY(mutex_) = 0;
-  std::int64_t active_ GUARDED_BY(mutex_) = 0;
-  std::uint64_t generation_ GUARDED_BY(mutex_) = 0;
+  JobBoard board_ GUARDED_BY(mutex_);
   bool shutdown_ GUARDED_BY(mutex_) = false;
   std::exception_ptr job_error_ GUARDED_BY(mutex_);
 };

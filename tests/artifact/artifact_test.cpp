@@ -266,6 +266,90 @@ TEST(ArtifactTest, ReplicasAreZeroCopyOverTheMapping) {
   std::filesystem::remove(path);
 }
 
+/// Every synapse of `net`: a weight plus the prepared operand it serves from.
+struct SynapseView {
+  const Tensor* weight;
+  const snn::SynapticConv* conv;      // exactly one of conv / linear is set
+  const snn::SynapticLinear* linear;
+  const PreparedWeight* prepared() const {
+    return conv != nullptr ? conv->prepared_weight().get()
+                           : linear->prepared_weight().get();
+  }
+  const SpikeKernelStats& stats() const {
+    return conv != nullptr ? conv->kernel_stats() : linear->kernel_stats();
+  }
+};
+
+std::vector<SynapseView> synapses_of(snn::SnnNetwork& net) {
+  std::vector<SynapseView> out;
+  const auto add_conv = [&](const snn::SynapticConv* s) {
+    out.push_back({&s->weight().value, s, nullptr});
+  };
+  for (std::int64_t i = 0; i < net.size(); ++i) {
+    snn::SpikingLayer& layer = net.layer(i);
+    if (auto* conv = dynamic_cast<snn::SpikingConv2d*>(&layer)) {
+      add_conv(&conv->synapse());
+    } else if (auto* linear = dynamic_cast<snn::SpikingLinear*>(&layer)) {
+      out.push_back({&linear->synapse().weight().value, nullptr, &linear->synapse()});
+    } else if (auto* res = dynamic_cast<snn::SpikingResidualBlock*>(&layer)) {
+      add_conv(&res->conv1_synapse());
+      add_conv(&res->conv2_synapse());
+      if (res->projection_synapse_or_null() != nullptr) {
+        add_conv(res->projection_synapse_or_null());
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ArtifactTest, EvalKeepsReplicasZeroCopyAndSharingOneOperand) {
+  for (const Precision precision : {Precision::kFp32, Precision::kInt8}) {
+    const std::string path =
+        temp_path((std::string("artifact_shared_") + to_string(precision) + ".art").c_str());
+    auto source = make_vggish_net(17);
+    PackOptions opt = pack_options();
+    opt.precision = precision;
+    pack_network(*source, path, opt);
+    auto art = UllsnnArtifact::load(path);
+    auto a = art->make_network();
+    auto b = art->make_network();
+
+    // Strong analog rows drive every layer dense; all-zero rows and an
+    // all-zero batch drive every layer sparse.
+    Tensor mixed({4, 2, 4, 4});
+    for (std::int64_t i = 0; i < mixed.numel() / 2; ++i) mixed[i] = 4.0F;
+    Tensor dense({2, 2, 4, 4}, 4.0F);
+    Tensor zeros({2, 2, 4, 4});
+    for (snn::SnnNetwork* net : {a.get(), b.get()}) {
+      for (const Tensor* batch : {&mixed, &dense, &zeros}) {
+        net->reset_state();
+        net->forward(*batch, false);
+      }
+    }
+
+    const std::vector<SynapseView> sa = synapses_of(*a);
+    const std::vector<SynapseView> sb = synapses_of(*b);
+    ASSERT_EQ(sa.size(), 3U);
+    ASSERT_EQ(sb.size(), sa.size());
+    for (std::size_t i = 0; i < sa.size(); ++i) {
+      SCOPED_TRACE(std::string(to_string(precision)) + " synapse " + std::to_string(i));
+      // Both dispatch paths ran, and neither copied the mapped weight.
+      EXPECT_GT(sa[i].stats().dense_samples, 0);
+      EXPECT_GT(sa[i].stats().sparse_samples, 0);
+      EXPECT_TRUE(sa[i].weight->borrowed());
+      EXPECT_TRUE(sb[i].weight->borrowed());
+      EXPECT_TRUE(art->contains(sa[i].weight->data()));
+      // One operand, prepared at load, serves both replicas.
+      ASSERT_NE(sa[i].prepared(), nullptr);
+      EXPECT_EQ(sa[i].prepared(), sb[i].prepared());
+      EXPECT_EQ(sa[i].prepared()->source(), sa[i].weight->data());
+      EXPECT_EQ(sa[i].prepared()->int8_panels() != nullptr,
+                precision == Precision::kInt8);
+    }
+    std::filesystem::remove(path);
+  }
+}
+
 TEST(ArtifactTest, ProbeAccessorsExposeThePackedCanary) {
   const std::string path = packed_artifact("artifact_probe.art");
   auto art = UllsnnArtifact::load(path);
