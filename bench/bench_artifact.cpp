@@ -219,7 +219,7 @@ SoakResult run_soak(const Options& opt, const data::LabeledImages& test,
   config.request_timeout = std::chrono::milliseconds(30000);
   config.retry_backoff = std::chrono::microseconds(0);
   config.max_attempts = 1;
-  config.breaker.failure_threshold = 1 << 20;  // registry owns rollback here
+  config.governor.failure_threshold = 1 << 20;  // registry owns rollback here
   std::atomic<bool> poison{false};
   config.after_forward_hook = [&poison](const std::vector<std::int64_t>&,
                                         Tensor& logits) {

@@ -328,8 +328,8 @@ SweepPoint run_point(const Options& opt, const Shape& input_shape,
   }
   point.drained = h.engine->queue_depth() == 0;
   point.stats = h.engine->stats();
-  point.brownout_deepest = h.engine->brownout().deepest_reached();
-  point.breaker_trips = h.engine->breaker().trips();
+  point.brownout_deepest = h.engine->governor().deepest_load_rung();
+  point.breaker_trips = h.engine->governor().trips();
   h.engine->stop();
 
   const serve::LogHistogram merged = point.report.merged_latency();

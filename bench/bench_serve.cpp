@@ -20,7 +20,7 @@
 //                whose open-loop generator does not self-throttle
 //                (docs/serving.md, "Overload & shedding").
 //   --accuracy   measure the ladder's accuracy cost: one SNN converted at
-//                T=3 evaluated at T=3/2/1 (what the breaker actually does),
+//                T=3 evaluated at T=3/2/1 (what the governor actually does),
 //                next to a fresh conversion at each T (the fair baseline).
 //   --overhead   the observability cost gate: p99 under identical clean
 //                load with the live endpoint off vs on (plus a 20 Hz
@@ -353,8 +353,8 @@ SoakResult run_soak(const Options& opt, const bench::BenchData& data,
 
   result.stats = engine.stats();
   result.queue_peak = engine.queue_peak_depth();
-  result.trips = engine.breaker().trips();
-  result.recoveries = engine.breaker().recoveries();
+  result.trips = engine.governor().trips();
+  result.recoveries = engine.governor().recoveries();
   result.faults_fired = faults_fired.load();
   std::sort(latencies.begin(), latencies.end());
   result.p50 = percentile(latencies, 0.50);
@@ -460,7 +460,7 @@ std::vector<AccuracyRow> run_accuracy(const bench::BenchData& data,
   for (const std::int64_t t : {3LL, 2LL, 1LL}) {
     AccuracyRow row;
     row.t = t;
-    // What the breaker does at runtime: same weights/thresholds (converted
+    // What the governor does at runtime: same weights/thresholds (converted
     // for T=3), just fewer steps.
     ladder_net->set_time_steps(t);
     ladder_net->reset_state();

@@ -6,8 +6,9 @@
 //
 //   1. healthy traffic    — requests served at the full T=3 budget
 //   2. numeric distress   — a fault hook poisons the logits with NaN; the
-//                           circuit breaker walks the ladder T=3 -> 2 -> 1,
-//                           then opens and answers kUnavailable
+//                           governor's health signal (the circuit breaker)
+//                           walks the ladder T=3 -> 2 -> 1, then opens and
+//                           answers kUnavailable
 //   3. recovery           — the fault clears; a half-open probe succeeds and
 //                           the breaker climbs back to full T
 //   4. hot swap           — the model is packed into a v1 artifact and served
@@ -19,7 +20,7 @@
 //   6. bad retrain        — a v4 that passes its own canary but regresses in
 //                           production is auto-rolled back to v2
 //
-// The breaker's and registry's transition histories are printed at the end —
+// The governor's and registry's transition histories are printed at the end —
 // the same arcs the `ctest -L serve` and `ctest -L artifact` suites assert.
 //
 // Usage: serving_demo [epochs] [train_size]
@@ -77,8 +78,8 @@ void drive(serve::ServeEngine& engine, const data::LabeledImages& dataset,
               static_cast<long long>(degraded),
               static_cast<long long>(unavailable),
               static_cast<long long>(error), static_cast<long long>(other),
-              serve::to_string(engine.breaker().state()),
-              static_cast<long long>(engine.breaker().time_steps()));
+              serve::to_string(engine.governor().state()),
+              static_cast<long long>(engine.governor().time_steps()));
 }
 
 int run(int argc, char** argv) {
@@ -116,10 +117,10 @@ int run(int argc, char** argv) {
   serve::ServeConfig sc;
   sc.workers = 1;
   sc.batcher.max_batch = 1;  // one request per batch: readable transitions
-  sc.breaker.ladder = {3, 2, 1};
-  sc.breaker.failure_threshold = 2;
-  sc.breaker.recovery_threshold = 2;
-  sc.breaker.open_cooldown = 3;
+  sc.governor.ladder = {3, 2, 1};
+  sc.governor.failure_threshold = 2;
+  sc.governor.recovery_threshold = 2;
+  sc.governor.open_cooldown = 3;
   sc.max_attempts = 1;  // the fault is persistent; retries would not help
   sc.default_deadline = std::chrono::milliseconds(10000);
   sc.request_timeout = std::chrono::milliseconds(30000);
@@ -171,11 +172,12 @@ int run(int argc, char** argv) {
 
   engine.stop();
 
-  std::printf("\nBreaker transition history:\n");
-  for (const serve::CircuitBreaker::Transition& t :
-       engine.breaker().history()) {
-    std::printf("  batch %4lld: %-9s T=%lld  (%s)\n",
-                static_cast<long long>(t.batch), serve::to_string(t.state),
+  std::printf("\nGovernor transition history:\n");
+  for (const serve::TimeStepGovernor::Transition& t :
+       engine.governor().history()) {
+    std::printf("  event %4lld: %-6s %-9s T=%lld  (%s)\n",
+                static_cast<long long>(t.sequence), serve::to_string(t.signal),
+                serve::to_string(t.state),
                 static_cast<long long>(t.time_steps), t.cause.c_str());
   }
   const serve::ServeStats s = engine.stats();
@@ -186,8 +188,8 @@ int run(int argc, char** argv) {
               static_cast<long long>(s.completed_degraded),
               static_cast<long long>(s.unavailable),
               static_cast<long long>(s.errors),
-              static_cast<long long>(engine.breaker().trips()),
-              static_cast<long long>(engine.breaker().recoveries()));
+              static_cast<long long>(engine.governor().trips()),
+              static_cast<long long>(engine.governor().recoveries()));
 
   // The act-2 breaker open was an anomaly: the flight recorder dumped the
   // recent request/event rings (with per-stage timings) for forensics.
@@ -201,7 +203,7 @@ int run(int argc, char** argv) {
 
   // The demo's contract: the breaker must have tripped during act 2 and
   // recovered during act 3; anything else means the arc did not happen.
-  if (engine.breaker().trips() < 1 || engine.breaker().recoveries() < 1) {
+  if (engine.governor().trips() < 1 || engine.governor().recoveries() < 1) {
     std::fprintf(stderr, "serving_demo: breaker never completed the "
                          "trip/recover arc\n");
     return 1;
@@ -243,7 +245,7 @@ int run(int argc, char** argv) {
 
   serve::ServeConfig rsc = sc;
   rsc.max_attempts = 1;
-  rsc.breaker = serve::BreakerConfig{};  // registry owns rollback in this act
+  rsc.governor = serve::GovernorConfig{};  // registry owns rollback in this act
   serve::ServeEngine deploy_engine(rsc, registry);
   deploy_engine.start();
 

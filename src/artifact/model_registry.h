@@ -22,7 +22,7 @@
 //               previous artifact and records why.
 //
 // Every accept, reject, rollback, and auto-rollback is appended to a
-// transition history (same spirit as serve::CircuitBreaker::history()), so
+// transition history (same spirit as serve::TimeStepGovernor::history()), so
 // a deploy that went wrong can be reconstructed after the fact.
 //
 // Thread-safety: all methods are safe to call concurrently; active() hands

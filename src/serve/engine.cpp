@@ -102,9 +102,8 @@ ServeEngine::ServeEngine(ServeConfig config, NetworkFactory factory)
               config_.batch_queue_capacity > 0 ? config_.batch_queue_capacity
                                                : config_.queue_capacity}),
       batcher_(config_.batcher),
-      breaker_(std::make_unique<CircuitBreaker>(config_.breaker)),
+      governor_(config_.governor),
       codel_(config_.codel),
-      brownout_(config_.brownout),
       monitor_(monitor_config(config_.explosion_threshold)),
       metrics_(ServeMetrics::bind()),
       slo_(config_.obs.slo) {
@@ -210,9 +209,9 @@ void ServeEngine::start() {
         }
         MicroBatch batch = batcher_.collect(queue_, &codel_);
         // One queue-pressure observation per collect (including empty polls,
-        // which are evidence of relief and drive brownout recovery).
-        brownout_.observe(static_cast<double>(queue_.depth()) /
-                          static_cast<double>(queue_.total_capacity()));
+        // which are evidence of relief and let the load rung recover).
+        governor_.observe_queue(static_cast<double>(queue_.depth()) /
+                                static_cast<double>(queue_.total_capacity()));
         if (batch.empty()) continue;
         const bool healthy = run_batch(*net, std::move(batch), w);
         if (registry_ != nullptr) registry_->record_batch_health(version, healthy);
@@ -253,11 +252,15 @@ void ServeEngine::start_endpoint() {
 }
 
 obs::HttpResponse ServeEngine::handle_healthz() const {
-  const BreakerState state = breaker_->state();
+  const BreakerState state = governor_.state();
+  const std::int64_t time_steps = governor_.time_steps();
+  const bool unavailable =
+      state == BreakerState::kOpen || state == BreakerState::kHalfOpen;
   const char* verdict = "ok";
-  if (state == BreakerState::kOpen || state == BreakerState::kHalfOpen) {
+  if (unavailable) {
     verdict = "unavailable";
-  } else if (state == BreakerState::kDegraded) {
+  } else if (time_steps < governor_.full_time_steps()) {
+    // Whichever signal, health or load, lowered the granted T.
     verdict = "degraded";
   }
   std::string body;
@@ -267,7 +270,7 @@ obs::HttpResponse ServeEngine::handle_healthz() const {
   body += R"(","breaker":")";
   body += to_string(state);
   body += R"(","time_steps":)";
-  body += std::to_string(state == BreakerState::kOpen ? 0 : breaker_->time_steps());
+  body += std::to_string(time_steps);
   body += R"(,"queue_depth":)";
   body += std::to_string(queue_.depth());
   body += R"(,"queue_capacity":)";
@@ -288,9 +291,7 @@ obs::HttpResponse ServeEngine::handle_healthz() const {
   obs::HttpResponse response;
   // A load balancer keeps routing to a degraded engine (it still answers,
   // just at reduced T) but drains one whose circuit is open.
-  response.status =
-      (state == BreakerState::kOpen || state == BreakerState::kHalfOpen) ? 503
-                                                                         : 200;
+  response.status = unavailable ? 503 : 200;
   response.content_type = "application/json";
   response.body = std::move(body);
   return response;
@@ -559,7 +560,7 @@ bool ServeEngine::run_batch(snn::SnnNetwork& net, MicroBatch&& batch,
   metrics_.batches.add(1);
   metrics_.batch_size.observe(static_cast<double>(batch.requests.size()));
 
-  const CircuitBreaker::Decision decision = breaker_->admit();
+  const TimeStepGovernor::Decision decision = governor_.admit();
   if (!decision.allow) {
     for (auto& request : batch.requests) {
       InferResponse r;
@@ -573,13 +574,6 @@ bool ServeEngine::run_batch(snn::SnnNetwork& net, MicroBatch&& batch,
     // A refused batch never touched the network: no verdict on the model.
     return true;
   }
-
-  // Effective time-step budget: the health breaker's rung capped by the
-  // load-driven brownout rung. The two ladders are independent levers —
-  // numeric distress and queue pressure each lower T on their own evidence;
-  // the batch runs at whichever is lower.
-  const std::int64_t effective_t =
-      std::min(decision.time_steps, brownout_.time_steps());
 
   // Assemble [B, C, H, W] from the per-request [C, H, W] inputs.
   const std::int64_t batch_size = static_cast<std::int64_t>(batch.requests.size());
@@ -625,7 +619,7 @@ bool ServeEngine::run_batch(snn::SnnNetwork& net, MicroBatch&& batch,
       if (config_.before_forward_hook) {
         config_.before_forward_hook(ids, attempt, net);
       }
-      net.set_time_steps(effective_t);
+      net.set_time_steps(decision.time_steps);
       net.reset_state();
       // Per-time-step timing: wrap (not clobber) any step hook a chaos test
       // installed, so fault injection and timing compose. The wrapped hook
@@ -663,7 +657,7 @@ bool ServeEngine::run_batch(snn::SnnNetwork& net, MicroBatch&& batch,
       last_error = e.what();
     }
   }
-  breaker_->record(success);
+  governor_.record(success);
   for (const double s : step_ms) metrics_.latency_step_ms.observe(s);
 
   if (!success) {
@@ -673,7 +667,7 @@ bool ServeEngine::run_batch(snn::SnnNetwork& net, MicroBatch&& batch,
       r.reason = "all " + std::to_string(config_.max_attempts) +
                  " attempts failed: " + last_error;
       r.retries = retries_used;
-      r.time_steps = effective_t;
+      r.time_steps = decision.time_steps;
       r.queue_ms = ms_between(request.slot->enqueue_time(), request.popped);
       r.batch_ms = ms_between(request.popped, picked_up);
       r.infer_ms = infer_ms;
@@ -684,14 +678,14 @@ bool ServeEngine::run_batch(snn::SnnNetwork& net, MicroBatch&& batch,
   }
 
   const bool degraded =
-      effective_t != config_.breaker.ladder.front() || decision.probe;
+      decision.time_steps < governor_.full_time_steps() || decision.probe;
   const std::int64_t classes = logits.numel() / batch_size;
   const auto finished = Clock::now();
   for (std::int64_t i = 0; i < batch_size; ++i) {
     const PendingRequest& request = batch.requests[static_cast<std::size_t>(i)];
     InferResponse r;
     r.retries = retries_used;
-    r.time_steps = effective_t;
+    r.time_steps = decision.time_steps;
     r.queue_ms = ms_between(request.slot->enqueue_time(), request.popped);
     r.batch_ms = ms_between(request.popped, picked_up);
     r.infer_ms = infer_ms;
@@ -773,9 +767,9 @@ ServeStats ServeEngine::stats() const {
   s.retries = stats_.retries.load(std::memory_order_relaxed);
   s.batches = stats_.batches.load(std::memory_order_relaxed);
   s.swaps = stats_.swaps.load(std::memory_order_relaxed);
-  s.brownout_level = brownout_.level();
-  s.brownout_escalations = brownout_.escalations();
-  s.brownout_recoveries = brownout_.recoveries();
+  s.brownout_level = governor_.load_rung();
+  s.brownout_escalations = governor_.load_escalations();
+  s.brownout_recoveries = governor_.load_recoveries();
   const obs::SloTracker::Report slo = slo_.update();
   s.slo_p50_ms = slo.p50_ms;
   s.slo_p95_ms = slo.p95_ms;

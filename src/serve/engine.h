@@ -1,20 +1,23 @@
 // Resilient SNN inference engine: bounded admission, deadline-aware
-// micro-batching, per-request watchdog, retry-with-backoff, and a circuit
-// breaker that degrades the time-step budget before degrading availability.
+// micro-batching, per-request watchdog, retry-with-backoff, and one
+// time-step governor that degrades the time-step budget before degrading
+// availability.
 //
 // Request lifecycle:
 //
 //   submit() --admission--> BoundedQueue --MicroBatcher--> worker
 //     |  kRejected (full/stopped/bad input)     |  kExpired (deadline shed)
+//     |                                         |  kShed (CoDel)
+//     |                                         |--> governor.observe_queue(depth)
 //     |                                         v
-//     |                              CircuitBreaker.admit()
+//     |                              TimeStepGovernor.admit()
 //     |                                |            |  kUnavailable (open)
 //     |                                v
-//     |                    forward at ladder T, retrying transient
+//     |                    forward at the granted T, retrying transient
 //     |                    failures with exponential backoff
 //     |                                |
 //     |                    numeric scan of logits (NaN/Inf/explosion)
-//     |                                |--> breaker.record(healthy)
+//     |                                |--> governor.record(healthy)
 //     |                                v
 //     |                     kOk / kDegraded / kError / kExpired
 //     |
@@ -23,7 +26,7 @@
 //
 // Threading model: SnnNetwork carries mutable per-sequence state, so each
 // worker owns a private replica built by the NetworkFactory; the queue,
-// breaker, health monitor, and fault hooks are shared (all thread-safe).
+// governor, health monitor, and fault hooks are shared (all thread-safe).
 // reset_state() is called before every batch, making each batch a pure
 // function of (weights, inputs, T) — see the SnnNetwork isolation contract.
 #pragma once
@@ -42,9 +45,9 @@
 #include "src/robust/health.h"
 #include "src/serve/batcher.h"
 #include "src/serve/bounded_queue.h"
-#include "src/serve/circuit_breaker.h"
 #include "src/serve/overload.h"
 #include "src/serve/request.h"
+#include "src/serve/time_step_governor.h"
 #include "src/snn/snn_network.h"
 
 namespace ullsnn::artifact {
@@ -96,12 +99,11 @@ struct ServeConfig {
   std::int64_t batch_queue_capacity = -1;
   std::int64_t workers = 1;
   BatcherConfig batcher;
-  BreakerConfig breaker;
+  /// The T ladder and its health thresholds; queue pressure moves the same
+  /// ladder (see time_step_governor.h).
+  GovernorConfig governor;
   /// CoDel queueing-delay shedding, per priority lane (see overload.h).
   CoDelConfig codel;
-  /// Load-driven brownout T-ladder; the engine serves each batch at
-  /// min(breaker T, brownout T).
-  BrownoutConfig brownout;
   /// Default per-request deadline when submit() is not given one.
   std::chrono::milliseconds default_deadline{250};
   /// Hard per-request timeout enforced by the watchdog, measured from
@@ -130,7 +132,7 @@ struct ServeConfig {
                      snn::SnnNetwork& net)>
       before_forward_hook;
   /// Called after a successful forward; may corrupt `logits` (e.g. via
-  /// FaultInjector::inject_tensor) to exercise the breaker's numeric checks.
+  /// FaultInjector::inject_tensor) to exercise the governor's numeric checks.
   std::function<void(const std::vector<std::int64_t>& ids, Tensor& logits)>
       after_forward_hook;
   /// Called with the batch's request ids after micro-batch formation but
@@ -147,8 +149,6 @@ struct SubmitResult {
   InferResponse response;  // filled only when !accepted
 };
 
-/// Engine-owned counters, independent of the telemetry build flag so tests
-/// can assert exact totals in every configuration.
 /// Engine-owned counters, independent of the telemetry build flag so tests
 /// can assert exact totals in every configuration. Conservation ledger
 /// (exact, established by the slot's winning critical section):
@@ -173,9 +173,9 @@ struct ServeStats {
   std::int64_t retries = 0;
   std::int64_t batches = 0;
   std::int64_t swaps = 0;  // worker replica rebuilds after a registry flip
-  std::int64_t brownout_level = 0;        // current load-driven T rung
-  std::int64_t brownout_escalations = 0;  // rungs descended (load)
-  std::int64_t brownout_recoveries = 0;   // rungs climbed back
+  std::int64_t brownout_level = 0;        // governor's current load rung
+  std::int64_t brownout_escalations = 0;  // load rungs descended
+  std::int64_t brownout_recoveries = 0;   // load rungs climbed back
 
   // SLO snapshot from the most recent SloTracker update (stats() refreshes
   // it): rolling percentiles and the error-budget burn rate.
@@ -225,8 +225,7 @@ class ServeEngine {
   }
 
   ServeStats stats() const;
-  const CircuitBreaker& breaker() const { return *breaker_; }
-  const BrownoutController& brownout() const { return brownout_; }
+  const TimeStepGovernor& governor() const { return governor_; }
   const CoDelController& codel() const { return codel_; }
   std::int64_t queue_depth() const { return queue_.depth(); }
   std::int64_t queue_peak_depth() const { return queue_.peak_depth(); }
@@ -291,9 +290,8 @@ class ServeEngine {
   std::vector<std::atomic<std::uint64_t>> worker_versions_;
   LaneQueue<PendingRequest> queue_;
   MicroBatcher batcher_;
-  std::unique_ptr<CircuitBreaker> breaker_;
+  TimeStepGovernor governor_;
   CoDelController codel_;
-  BrownoutController brownout_;
   robust::HealthMonitor monitor_;
 
   std::vector<std::thread> workers_;

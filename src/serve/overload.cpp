@@ -3,15 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "src/obs/flight_recorder.h"
-#include "src/obs/log.h"
-#include "src/obs/metrics.h"
-
 namespace ullsnn::serve {
-
-// ---------------------------------------------------------------------------
-// CoDelController
-// ---------------------------------------------------------------------------
 
 CoDelController::CoDelController(CoDelConfig config) : config_(config) {
   if (config_.target.count() <= 0 || config_.interval.count() <= 0) {
@@ -84,107 +76,6 @@ std::int64_t CoDelController::shed_count(Priority lane) const {
 bool CoDelController::dropping(Priority lane) const {
   MutexLock lock(mu_);
   return lanes_[static_cast<std::size_t>(lane)].dropping;
-}
-
-// ---------------------------------------------------------------------------
-// BrownoutController
-// ---------------------------------------------------------------------------
-
-BrownoutController::BrownoutController(BrownoutConfig config)
-    : config_(std::move(config)),
-      level_gauge_(obs::Registry::instance().gauge("serve.overload.brownout_level")),
-      time_steps_gauge_(
-          obs::Registry::instance().gauge("serve.overload.brownout_time_steps")),
-      escalations_counter_(
-          obs::Registry::instance().counter("serve.overload.brownout_escalations")),
-      recoveries_counter_(
-          obs::Registry::instance().counter("serve.overload.brownout_recoveries")) {
-  if (config_.ladder.empty()) {
-    throw std::invalid_argument("Brownout: ladder must be non-empty");
-  }
-  for (std::size_t i = 0; i < config_.ladder.size(); ++i) {
-    if (config_.ladder[i] <= 0) {
-      throw std::invalid_argument("Brownout: ladder time steps must be positive");
-    }
-    if (i > 0 && config_.ladder[i] >= config_.ladder[i - 1]) {
-      throw std::invalid_argument("Brownout: ladder must be strictly decreasing");
-    }
-  }
-  if (config_.dwell <= 0) {
-    throw std::invalid_argument("Brownout: dwell must be positive");
-  }
-  if (!(config_.low_watermark >= 0.0 && config_.low_watermark < config_.high_watermark)) {
-    throw std::invalid_argument("Brownout: need 0 <= low_watermark < high_watermark");
-  }
-  level_gauge_.set(0.0);
-  time_steps_gauge_.set(static_cast<double>(config_.ladder[0]));
-}
-
-void BrownoutController::note(const char* cause) {
-  const std::int64_t t = config_.ladder[static_cast<std::size_t>(level_)];
-  level_gauge_.set(static_cast<double>(level_));
-  time_steps_gauge_.set(static_cast<double>(t));
-  obs::FlightRecorder::instance().record_event(
-      "brownout", "-> level %lld (T=%lld): %s", static_cast<long long>(level_),
-      static_cast<long long>(t), cause);
-  obs::logf(obs::LogLevel::kInfo, "[serve] brownout -> level %lld (T=%lld): %s",
-            static_cast<long long>(level_), static_cast<long long>(t), cause);
-}
-
-std::int64_t BrownoutController::observe(double depth_fraction) {
-  MutexLock lock(mu_);
-  if (depth_fraction >= config_.high_watermark) {
-    below_streak_ = 0;
-    if (++above_streak_ >= config_.dwell &&
-        level_ + 1 < static_cast<std::int64_t>(config_.ladder.size())) {
-      above_streak_ = 0;
-      ++level_;
-      if (level_ > deepest_reached_) deepest_reached_ = level_;
-      ++escalations_;
-      escalations_counter_.add(1);
-      note("sustained queue pressure");
-    }
-  } else if (depth_fraction <= config_.low_watermark) {
-    above_streak_ = 0;
-    if (++below_streak_ >= config_.dwell && level_ > 0) {
-      below_streak_ = 0;
-      --level_;
-      ++recoveries_;
-      recoveries_counter_.add(1);
-      note("queue pressure relieved");
-    }
-  } else {
-    // Between the watermarks: hysteresis band, both streaks reset so the
-    // level holds steady instead of oscillating.
-    above_streak_ = 0;
-    below_streak_ = 0;
-  }
-  return level_;
-}
-
-std::int64_t BrownoutController::level() const {
-  MutexLock lock(mu_);
-  return level_;
-}
-
-std::int64_t BrownoutController::time_steps() const {
-  MutexLock lock(mu_);
-  return config_.ladder[static_cast<std::size_t>(level_)];
-}
-
-std::int64_t BrownoutController::deepest_reached() const {
-  MutexLock lock(mu_);
-  return deepest_reached_;
-}
-
-std::int64_t BrownoutController::escalations() const {
-  MutexLock lock(mu_);
-  return escalations_;
-}
-
-std::int64_t BrownoutController::recoveries() const {
-  MutexLock lock(mu_);
-  return recoveries_;
 }
 
 }  // namespace ullsnn::serve

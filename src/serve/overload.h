@@ -1,49 +1,28 @@
-// Load-driven overload control: CoDel queueing-delay shedding + brownout.
+// CoDel queueing-delay load shedding, one controller per priority lane.
 //
-// Two controllers, two different signals, two different levers:
+// CoDelController watches *sojourn time* — how long a request sat in the
+// queue before the batcher pulled it. When sojourn has exceeded a target
+// continuously for a full interval, the queue has a standing backlog (not
+// just a burst) and the controller starts shedding dequeued requests on the
+// CoDel control law (drop_next = now + interval / sqrt(count)), shedding
+// faster the longer the overload persists. The interactive lane gets a
+// larger target than the batch lane, so batch work sheds first;
+// strict-priority dequeue already keeps interactive sojourns short unless
+// interactive traffic alone exceeds capacity.
 //
-//  - CoDelController (per priority lane) watches *sojourn time* — how long a
-//    request sat in the queue before the batcher pulled it. When sojourn has
-//    exceeded a target continuously for a full interval, the queue has a
-//    standing backlog (not just a burst) and the controller starts shedding
-//    dequeued requests on the CoDel control law
-//    (drop_next = now + interval / sqrt(count)), shedding faster the longer
-//    the overload persists. The interactive lane gets a larger target than
-//    the batch lane, so batch work sheds first; strict-priority dequeue
-//    already keeps interactive sojourns short unless interactive traffic
-//    alone exceeds capacity.
+// CoDel sheds requests; it never picks T. Load-driven T degradation
+// (brownout) is the TimeStepGovernor's load signal (time_step_governor.h).
 //
-//  - BrownoutController watches *queue depth* and trades quality for
-//    capacity before any request has to be refused: sustained depth above
-//    the high watermark lowers the per-request time-step budget one rung
-//    (T = 3 -> 2 -> 1), raising throughput at the accuracy cost the paper's
-//    ladder quantifies; sustained depth below the low watermark climbs back.
-//    Dwell counting is observation-based (one observation per collected
-//    batch), mirroring the CircuitBreaker's request-count-based bookkeeping
-//    so a fixed load trace drives a deterministic level sequence.
-//
-// Coordination with the health-driven CircuitBreaker: brownout never
-// replaces it. The engine runs each batch at min(breaker T, brownout T) —
-// the breaker owns numeric-health degradation and availability (open /
-// half-open), brownout owns load-driven degradation. Both record their
-// transitions in the flight recorder; brownout exports serve.overload.*.
-//
-// Thread-safe: each controller's state sits behind one mutex (decisions are
-// per-dequeue / per-batch, far off the per-element hot path).
+// Thread-safe: all lane state sits behind one mutex (decisions are
+// per-dequeue, far off the per-element hot path).
 #pragma once
 
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <vector>
 
 #include "src/serve/request.h"
 #include "src/util/mutex.h"
-
-namespace ullsnn::obs {
-class Counter;
-class Gauge;
-}  // namespace ullsnn::obs
 
 namespace ullsnn::serve {
 
@@ -95,64 +74,6 @@ class CoDelController {
   const CoDelConfig config_;
   mutable Mutex mu_;
   std::array<LaneState, kPriorityClasses> lanes_ GUARDED_BY(mu_);
-};
-
-struct BrownoutConfig {
-  /// Queue-depth fraction (total depth / total capacity) above which pressure
-  /// accumulates toward descending one rung.
-  double high_watermark = 0.5;
-  /// Fraction below which relief accumulates toward climbing one rung.
-  double low_watermark = 0.125;
-  /// Consecutive observations (one per collected batch) above/below the
-  /// watermark before a transition fires. Count-based, not wall-clock-based,
-  /// for deterministic transition sequences under a fixed load trace.
-  std::int64_t dwell = 8;
-  /// Time-step budgets from full quality to deepest brownout; must be
-  /// non-empty and strictly decreasing. Level 0 (= ladder[0]) is "no
-  /// brownout". Normally mirrors BreakerConfig::ladder.
-  std::vector<std::int64_t> ladder = {3, 2, 1};
-};
-
-/// Load-driven T-degradation ladder. observe() is fed the queue-depth
-/// fraction once per collected batch; time_steps() is combined by the engine
-/// as min(breaker T, brownout T).
-class BrownoutController {
- public:
-  explicit BrownoutController(BrownoutConfig config);
-
-  /// Feed one queue-depth observation (depth / capacity, >= 0). Returns the
-  /// brownout level after the observation (0 = full quality).
-  std::int64_t observe(double depth_fraction);
-
-  std::int64_t level() const;
-  std::int64_t time_steps() const;
-  std::int64_t deepest_level() const { return static_cast<std::int64_t>(config_.ladder.size()) - 1; }
-  /// Deepest level this controller has actually reached (0 if never browned
-  /// out) — distinct from deepest_level(), the configured floor.
-  std::int64_t deepest_reached() const;
-  std::int64_t escalations() const;  // times the ladder descended one rung
-  std::int64_t recoveries() const;   // times it climbed back one rung
-
-  const BrownoutConfig& config() const { return config_; }
-
- private:
-  void note(const char* cause) REQUIRES(mu_);
-
-  const BrownoutConfig config_;
-  mutable Mutex mu_;
-  std::int64_t level_ GUARDED_BY(mu_) = 0;
-  std::int64_t deepest_reached_ GUARDED_BY(mu_) = 0;
-  std::int64_t above_streak_ GUARDED_BY(mu_) = 0;
-  std::int64_t below_streak_ GUARDED_BY(mu_) = 0;
-  std::int64_t escalations_ GUARDED_BY(mu_) = 0;
-  std::int64_t recoveries_ GUARDED_BY(mu_) = 0;
-
-  // serve.overload.* instruments (always-on direct references, same contract
-  // as ServeEngine::ServeMetrics: exact in every build configuration).
-  obs::Gauge& level_gauge_;
-  obs::Gauge& time_steps_gauge_;
-  obs::Counter& escalations_counter_;
-  obs::Counter& recoveries_counter_;
 };
 
 }  // namespace ullsnn::serve

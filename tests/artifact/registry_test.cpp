@@ -373,7 +373,7 @@ TEST(RegistryServeTest, PostSwapRegressionRollsBackAutomatically) {
   std::atomic<bool> poison{false};
   serve::ServeConfig config = engine_config(1);
   config.max_attempts = 1;
-  config.breaker.failure_threshold = 1000;  // keep the breaker out of the way
+  config.governor.failure_threshold = 1000;  // keep the breaker out of the way
   config.after_forward_hook = [&poison](const std::vector<std::int64_t>&,
                                         Tensor& logits) {
     if (poison.load(std::memory_order_acquire)) {

@@ -4,6 +4,7 @@
 // recorder's anomaly dumps — all driven through a real running engine.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -182,6 +183,17 @@ TEST(EngineObsTest, MetricsEndpointConservesCountsAgainstServeStats) {
             kRequests);
   // The exposition carries the SLO gauges the tracker publishes on scrape.
   EXPECT_GE(scrape_value(scrape.body, "serve_slo_p50_ms"), 0.0);
+  // The governor publishes both its families through always-on instruments,
+  // so they are scraped in every build configuration (telemetry OFF too).
+  EXPECT_EQ(scrape_value(scrape.body, "serve_breaker_state"), 0.0);
+  EXPECT_EQ(scrape_value(scrape.body, "serve_breaker_time_steps"), 3.0);
+  EXPECT_GE(scrape_value(scrape.body, "serve_breaker_trips"), 0.0);
+  EXPECT_GE(scrape_value(scrape.body, "serve_breaker_probes"), 0.0);
+  EXPECT_GE(scrape_value(scrape.body, "serve_breaker_recoveries"), 0.0);
+  EXPECT_EQ(scrape_value(scrape.body, "serve_overload_brownout_level"), 0.0);
+  EXPECT_EQ(scrape_value(scrape.body, "serve_overload_brownout_time_steps"), 3.0);
+  EXPECT_GE(scrape_value(scrape.body, "serve_overload_brownout_escalations"), 0.0);
+  EXPECT_GE(scrape_value(scrape.body, "serve_overload_brownout_recoveries"), 0.0);
   engine.stop();
 }
 
@@ -203,13 +215,64 @@ TEST(EngineObsTest, HealthzReportsBreakerAndQueue) {
   engine.stop();
 }
 
+TEST(EngineObsTest, HealthzReportsLoadDrivenDegradation) {
+  // One worker whose forwards sleep, a burst that fills the queue past the
+  // high watermark, and a worker that parks after a dozen batches: by then
+  // the governor has seen enough queue observations to lower the load rung,
+  // and parking keeps it there while /healthz is read.
+  ServeConfig config = base_config();
+  config.obs.endpoint = true;
+  config.queue_capacity = 16;
+  config.batch_queue_capacity = 16;
+  config.batcher.max_batch = 1;
+  constexpr std::int64_t kParkAt = 12;
+  std::atomic<std::int64_t> forwards{0};
+  std::atomic<bool> parked{true};
+  config.before_forward_hook = [&](const std::vector<std::int64_t>&, std::int64_t,
+                                   snn::SnnNetwork&) {
+    std::this_thread::sleep_for(5ms);
+    if (forwards.fetch_add(1) + 1 < kParkAt) return;
+    while (parked.load()) std::this_thread::sleep_for(1ms);
+  };
+  ServeEngine engine(config, tiny_factory());
+  engine.start();
+  std::vector<ResponseFuture> futures;
+  for (int i = 0; i < 32; ++i) {
+    SubmitOptions options;
+    options.priority = i % 2 == 0 ? Priority::kInteractive : Priority::kBatch;
+    SubmitResult s = engine.submit(class_image(i % 2), options);
+    EXPECT_TRUE(s.accepted);
+    if (s.accepted) futures.push_back(std::move(s.future));
+  }
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (engine.stats().brownout_level == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+  }
+  const std::int64_t level = engine.stats().brownout_level;
+  const auto health = http_request(engine.http_port(), "/healthz");
+  // Unpark before any assertion can return, or stop() would wait forever.
+  parked.store(false);
+  ASSERT_GT(level, 0);
+  ASSERT_TRUE(health.ok);
+  EXPECT_EQ(health.status, 200);  // degraded still answers
+  EXPECT_NE(health.body.find("\"status\":\"degraded\""), std::string::npos)
+      << health.body;
+  EXPECT_NE(health.body.find("\"breaker\":\"closed\""), std::string::npos);
+  const std::size_t t_at = health.body.find("\"time_steps\":");
+  ASSERT_NE(t_at, std::string::npos);
+  EXPECT_LT(std::stoi(health.body.substr(t_at + 13)), 3) << health.body;
+  for (auto& f : futures) f.get();
+  engine.stop();
+}
+
 TEST(EngineObsTest, HealthzGoes503WhenTheCircuitOpens) {
   ServeConfig config = base_config();
   config.obs.endpoint = true;
   config.max_attempts = 1;
-  config.breaker.ladder = {3, 2, 1};
-  config.breaker.failure_threshold = 1;
-  config.breaker.open_cooldown = 1000;  // stay open for the whole test
+  config.governor.ladder = {3, 2, 1};
+  config.governor.failure_threshold = 1;
+  config.governor.open_cooldown = 1000;  // stay open for the whole test
   config.before_forward_hook = [](const std::vector<std::int64_t>&,
                                   std::int64_t, snn::SnnNetwork&) {
     throw std::runtime_error("injected persistent fault");
@@ -217,13 +280,13 @@ TEST(EngineObsTest, HealthzGoes503WhenTheCircuitOpens) {
   ServeEngine engine(config, tiny_factory());
   engine.start();
   // Every batch fails; the ladder descends then the circuit opens.
-  for (int i = 0; i < 10 && engine.breaker().state() != BreakerState::kOpen;
+  for (int i = 0; i < 10 && engine.governor().state() != BreakerState::kOpen;
        ++i) {
     SubmitResult s = engine.submit(class_image(0));
     ASSERT_TRUE(s.accepted);
     s.future.get();
   }
-  ASSERT_EQ(engine.breaker().state(), BreakerState::kOpen);
+  ASSERT_EQ(engine.governor().state(), BreakerState::kOpen);
   const auto health = http_request(engine.http_port(), "/healthz");
   ASSERT_TRUE(health.ok);
   EXPECT_EQ(health.status, 503);

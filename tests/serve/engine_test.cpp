@@ -230,10 +230,10 @@ TEST(ServeEngineTest, BreakerTripsDegradesOpensProbesAndRecovers) {
   ServeConfig config = base_config();
   config.batcher.max_batch = 1;
   config.max_attempts = 2;
-  config.breaker.ladder = {3, 2, 1};
-  config.breaker.failure_threshold = 2;
-  config.breaker.recovery_threshold = 2;
-  config.breaker.open_cooldown = 2;
+  config.governor.ladder = {3, 2, 1};
+  config.governor.failure_threshold = 2;
+  config.governor.recovery_threshold = 2;
+  config.governor.open_cooldown = 2;
   std::atomic<bool> corrupt{true};
   config.after_forward_hook = [&corrupt](const std::vector<std::int64_t>&,
                                          Tensor& logits) {
@@ -255,13 +255,13 @@ TEST(ServeEngineTest, BreakerTripsDegradesOpensProbesAndRecovers) {
     EXPECT_EQ(r.status, ResponseStatus::kError) << "request " << i;
     EXPECT_EQ(r.retries, 1);
   }
-  EXPECT_EQ(engine.breaker().state(), BreakerState::kOpen);
-  EXPECT_EQ(engine.breaker().trips(), 1);
+  EXPECT_EQ(engine.governor().state(), BreakerState::kOpen);
+  EXPECT_EQ(engine.governor().trips(), 1);
   // Open: first batch refused outright (cooldown 2), the second is the
   // probe — still corrupt, so it fails and the circuit re-opens.
   EXPECT_EQ(serve_one().status, ResponseStatus::kUnavailable);
   EXPECT_EQ(serve_one().status, ResponseStatus::kError);  // failed probe ran
-  EXPECT_EQ(engine.breaker().state(), BreakerState::kOpen);
+  EXPECT_EQ(engine.governor().state(), BreakerState::kOpen);
 
   // Heal the fault; the next probe succeeds and the ladder climbs home.
   corrupt.store(false);
@@ -275,13 +275,13 @@ TEST(ServeEngineTest, BreakerTripsDegradesOpensProbesAndRecovers) {
   const InferResponse healthy = serve_one();
   EXPECT_EQ(healthy.status, ResponseStatus::kOk);
   EXPECT_EQ(healthy.time_steps, 3);
-  EXPECT_EQ(engine.breaker().state(), BreakerState::kClosed);
-  EXPECT_EQ(engine.breaker().recoveries(), 1);
+  EXPECT_EQ(engine.governor().state(), BreakerState::kClosed);
+  EXPECT_EQ(engine.governor().recoveries(), 1);
   engine.stop();
 
   // The transition history shows the full arc, in order.
   std::vector<BreakerState> states;
-  for (const auto& t : engine.breaker().history()) states.push_back(t.state);
+  for (const auto& t : engine.governor().history()) states.push_back(t.state);
   const std::vector<BreakerState> arc = {
       BreakerState::kDegraded, BreakerState::kOpen, BreakerState::kHalfOpen,
       BreakerState::kClosed};

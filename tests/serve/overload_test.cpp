@@ -1,7 +1,8 @@
-// CoDel + brownout controller state machines, driven with a synthetic clock
-// so every transition is exact: bursts shorter than one interval never shed,
-// a standing backlog sheds on the drop law, the interactive lane sheds after
-// the batch lane, and brownout walks the T ladder with dwell + hysteresis.
+// CoDel controller state machine, driven with a synthetic clock so every
+// transition is exact: bursts shorter than one interval never shed, a
+// standing backlog sheds on the drop law, and the interactive lane sheds
+// after the batch lane. (Brownout, the load signal of the T ladder, is
+// covered in time_step_governor_test.cpp.)
 #include "src/serve/overload.h"
 
 #include <gtest/gtest.h>
@@ -116,86 +117,6 @@ TEST(CoDelTest, EpisodeMemoryRampsFasterOnQuickReentry) {
   EXPECT_TRUE(codel.should_shed(Priority::kBatch, 20ms, at(600ms)));
   EXPECT_FALSE(codel.should_shed(Priority::kBatch, 20ms, at(665ms)));
   EXPECT_TRUE(codel.should_shed(Priority::kBatch, 20ms, at(671ms)));
-}
-
-BrownoutConfig brownout_config() {
-  BrownoutConfig c;
-  c.high_watermark = 0.5;
-  c.low_watermark = 0.125;
-  c.dwell = 3;
-  c.ladder = {3, 2, 1};
-  return c;
-}
-
-TEST(BrownoutTest, ValidatesConfig) {
-  BrownoutConfig empty_ladder = brownout_config();
-  empty_ladder.ladder = {};
-  EXPECT_THROW(BrownoutController{empty_ladder}, std::invalid_argument);
-  BrownoutConfig not_decreasing = brownout_config();
-  not_decreasing.ladder = {3, 3, 1};
-  EXPECT_THROW(BrownoutController{not_decreasing}, std::invalid_argument);
-  BrownoutConfig zero_t = brownout_config();
-  zero_t.ladder = {2, 0};
-  EXPECT_THROW(BrownoutController{zero_t}, std::invalid_argument);
-  BrownoutConfig zero_dwell = brownout_config();
-  zero_dwell.dwell = 0;
-  EXPECT_THROW(BrownoutController{zero_dwell}, std::invalid_argument);
-  BrownoutConfig inverted_marks = brownout_config();
-  inverted_marks.low_watermark = 0.6;  // >= high_watermark
-  EXPECT_THROW(BrownoutController{inverted_marks}, std::invalid_argument);
-}
-
-TEST(BrownoutTest, EscalatesOneRungPerDwell) {
-  BrownoutController brownout(brownout_config());
-  EXPECT_EQ(brownout.time_steps(), 3);
-  EXPECT_EQ(brownout.observe(0.6), 0);
-  EXPECT_EQ(brownout.observe(0.6), 0);
-  EXPECT_EQ(brownout.observe(0.6), 1);  // dwell=3 observations met
-  EXPECT_EQ(brownout.time_steps(), 2);
-  EXPECT_EQ(brownout.escalations(), 1);
-  // Next rung needs a fresh dwell count.
-  EXPECT_EQ(brownout.observe(0.9), 1);
-  EXPECT_EQ(brownout.observe(0.9), 1);
-  EXPECT_EQ(brownout.observe(0.9), 2);
-  EXPECT_EQ(brownout.time_steps(), 1);
-  // Clamped at the ladder floor.
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(brownout.observe(1.0), 2);
-  EXPECT_EQ(brownout.escalations(), 2);
-  EXPECT_EQ(brownout.deepest_reached(), 2);
-}
-
-TEST(BrownoutTest, RecoversOneRungPerDwell) {
-  BrownoutController brownout(brownout_config());
-  for (int i = 0; i < 6; ++i) brownout.observe(0.8);
-  ASSERT_EQ(brownout.level(), 2);
-  EXPECT_EQ(brownout.observe(0.05), 2);
-  EXPECT_EQ(brownout.observe(0.05), 2);
-  EXPECT_EQ(brownout.observe(0.05), 1);
-  EXPECT_EQ(brownout.observe(0.05), 1);
-  EXPECT_EQ(brownout.observe(0.05), 1);
-  EXPECT_EQ(brownout.observe(0.05), 0);
-  EXPECT_EQ(brownout.time_steps(), 3);
-  EXPECT_EQ(brownout.recoveries(), 2);
-  // Fully recovered: stays at full quality.
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(brownout.observe(0.0), 0);
-  EXPECT_EQ(brownout.recoveries(), 2);
-  EXPECT_EQ(brownout.deepest_reached(), 2);  // history, not current level
-}
-
-TEST(BrownoutTest, HysteresisBandHoldsLevelAndResetsStreaks) {
-  BrownoutController brownout(brownout_config());
-  for (int i = 0; i < 3; ++i) brownout.observe(0.7);
-  ASSERT_EQ(brownout.level(), 1);
-  // Between the watermarks: no drift in either direction, however long.
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(brownout.observe(0.3), 1);
-  // The band also resets partial streaks: 2 high, 1 mid, 2 high never
-  // accumulates the 3-observation dwell.
-  brownout.observe(0.7);
-  brownout.observe(0.7);
-  brownout.observe(0.3);
-  brownout.observe(0.7);
-  EXPECT_EQ(brownout.observe(0.7), 1);
-  EXPECT_EQ(brownout.escalations(), 1);
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ headers=(
   src/util/parallel.h
   src/serve/bounded_queue.h
   src/serve/request.h
-  src/serve/circuit_breaker.h
+  src/serve/time_step_governor.h
   src/serve/engine.h
   src/obs/metrics.h
   src/obs/ring.h
