@@ -15,6 +15,9 @@
 //     per-output-channel int8 weight path, at T in {1, 2, 3}. Quantization
 //     must be accuracy-neutral (within 0.5% at T=3) for the int8 artifacts
 //     produced by ullsnn_pack --int8 to be deployable.
+//  G. The serving T-ladder's accuracy cost: the served VGG-11 converted at
+//     T=3 and run at T=3/2/1 (what the time-step governor does under
+//     pressure), next to a fresh conversion at each T (the fair baseline).
 #include <cstdio>
 
 #include "bench/common.h"
@@ -184,5 +187,35 @@ int main() {
   }
   prec.print("F: serving precision fp32 vs int8 (int8 within 0.5% of fp32 at T=3)");
   bench::write_csv(prec, "ablation_precision.csv");
+
+  // --- G: accuracy vs T along the serving ladder ---
+  // The served model is VGG-11 (bench_load, perfbench), not section A-F's
+  // VGG-16.
+  auto served = bench::trained_dnn(core::Architecture::kVgg11, 10, setup, data);
+  const core::ActivationProfile served_profile =
+      core::collect_activations(*served, data.train);
+  core::ConversionConfig cc3;
+  cc3.time_steps = 3;
+  auto ladder_net = core::convert(*served, served_profile, cc3, nullptr);
+  Table ladder({"T", "Ladder accuracy %", "Reconverted accuracy %"});
+  for (const std::int64_t t : {3, 2, 1}) {
+    // Same weights and thresholds (converted for T=3), just fewer steps.
+    ladder_net->set_time_steps(t);
+    ladder_net->reset_state();
+    const double ladder_acc =
+        snn::evaluate_snn(*ladder_net, data.test, setup.batch_size);
+    core::ConversionConfig cc;
+    cc.time_steps = t;
+    const double reconverted_acc =
+        converted_accuracy(*served, served_profile, cc, data, setup);
+    ladder.add_row({std::to_string(t), Table::fmt(100.0 * ladder_acc),
+                    Table::fmt(100.0 * reconverted_acc)});
+    std::printf("[ablation G] T=%lld ladder %.2f%%  reconverted %.2f%%\n",
+                static_cast<long long>(t), 100.0 * ladder_acc,
+                100.0 * reconverted_acc);
+    std::fflush(stdout);
+  }
+  ladder.print("G: accuracy vs T, T=3 ladder vs per-T reconversion");
+  bench::write_csv(ladder, "serve_accuracy.csv");
   return 0;
 }

@@ -370,7 +370,7 @@ BENCHMARK(BM_EventDrivenInference)->Arg(1000)->Arg(100)->Arg(10)->MinTime(0.2);
 }  // namespace
 
 // Custom main so the JSON/console output carries the build provenance stamp
-// (compiler, flags, git hash, telemetry) in its context block — a result file
+// (compiler, flags, git hash) in its context block — a result file
 // is then traceable to the exact build that produced it.
 int main(int argc, char** argv) {
   const ullsnn::obs::BuildInfo& info = ullsnn::obs::build_info();
@@ -378,7 +378,6 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("build_type", info.build_type);
   benchmark::AddCustomContext("cxx_flags", info.flags);
   benchmark::AddCustomContext("git_hash", info.git_hash);
-  benchmark::AddCustomContext("telemetry", info.telemetry ? "on" : "off");
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -3,8 +3,6 @@
 //   * TraceScope with the tracer disabled (the steady-state cost paid by
 //     instrumented code) and enabled,
 //   * an instrumented SNN forward pass: bare vs tracer on vs probe attached.
-// Build with -DULLSNN_TELEMETRY=OFF to confirm the macros vanish: the
-// "disabled" variants then measure an empty loop.
 #include <benchmark/benchmark.h>
 
 #include "src/obs/metrics.h"

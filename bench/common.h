@@ -27,7 +27,7 @@
 namespace ullsnn::bench {
 
 /// Write a bench table as CSV with the build-provenance stamp (compiler,
-/// flags, git hash, telemetry on/off) as leading "# " comment lines, so every
+/// flags, git hash) as leading "# " comment lines, so every
 /// result file records how the binary that produced it was built.
 inline void write_csv(const Table& table, const std::string& path) {
   table.write_csv(path, obs::build_info_comment());

@@ -25,7 +25,6 @@ void ModelRegistry::run_canary(const UllsnnArtifact& candidate) const {
 
   robust::GuardConfig gc;
   gc.policy = robust::GuardPolicy::kOff;
-  gc.explosion_threshold = config_.explosion_threshold;
   robust::HealthMonitor monitor(gc);
   robust::HealthReport report;
   monitor.scan_tensor("canary.logits", logits, report);

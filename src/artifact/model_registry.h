@@ -47,8 +47,6 @@ struct RegistryConfig {
   /// Require the candidate's arch fingerprint to equal the active model's.
   /// Ignored for the first deploy (nothing to match against).
   bool require_same_arch = true;
-  /// |logit| above this counts as numeric distress during the canary scan.
-  float explosion_threshold = 1e6F;
   /// Number of batches after an activation that are watched for a health
   /// regression. 0 disables the post-swap watch.
   std::int64_t health_window = 8;

@@ -50,8 +50,7 @@ struct CheckpointConfig {
 /// switched on for the duration of run(), stage spans are recorded, and a
 /// probed inference pass runs after stage (c) to collect per-layer spike
 /// rates, membrane statistics, and the live Delta_{alpha,beta} gap. Each
-/// path is optional; empty skips that artifact. All of this is inert when
-/// the library is built with -DULLSNN_TELEMETRY=OFF.
+/// path is optional; empty skips that artifact.
 struct TelemetryOptions {
   bool enabled = false;
   std::string trace_json_path;   // chrome://tracing "traceEvents" JSON

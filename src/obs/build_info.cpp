@@ -1,7 +1,5 @@
 #include "src/obs/build_info.h"
 
-#include "src/obs/telemetry.h"
-
 #ifndef ULLSNN_GIT_HASH
 #define ULLSNN_GIT_HASH "unknown"
 #endif
@@ -35,7 +33,6 @@ const BuildInfo& build_info() {
     b.build_type = ULLSNN_BUILD_TYPE_STR;
     b.flags = ULLSNN_CXX_FLAGS_STR;
     b.git_hash = ULLSNN_GIT_HASH;
-    b.telemetry = ULLSNN_TELEMETRY != 0;
     return b;
   }();
   return info;
@@ -48,8 +45,7 @@ std::string build_info_comment() {
   s += "compiler: " + b.compiler + '\n';
   s += "build_type: " + b.build_type + '\n';
   s += "flags: " + b.flags + '\n';
-  s += "git: " + b.git_hash + '\n';
-  s += std::string("telemetry: ") + (b.telemetry ? "on" : "off");
+  s += "git: " + b.git_hash;
   return s;
 }
 

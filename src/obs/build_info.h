@@ -1,4 +1,4 @@
-// Build provenance stamp: compiler, flags, git hash, telemetry switch.
+// Build provenance stamp: compiler, build type, flags, git hash.
 //
 // Emitted as a comment header in every bench CSV (bench/common.h) so a
 // fig4*.csv / table1.csv artifact is traceable to the exact build that
@@ -15,7 +15,6 @@ struct BuildInfo {
   std::string build_type;  // CMAKE_BUILD_TYPE
   std::string flags;       // effective CXX flags for that build type
   std::string git_hash;    // short hash, or "unknown" outside a git checkout
-  bool telemetry = false;  // ULLSNN_TELEMETRY compiled in?
 };
 
 const BuildInfo& build_info();

@@ -4,9 +4,6 @@
 // the function-local static inside the ULLSNN_* macros); after that a sample
 // is a single relaxed atomic RMW — lock-free, zero heap allocation, no
 // registry locks. Registration (first use of a name) takes a mutex.
-//
-// With -DULLSNN_TELEMETRY=OFF the macros compile to nothing; the classes
-// remain available for explicit use and for the exporters.
 #pragma once
 
 #include <atomic>
@@ -16,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/telemetry.h"
 #include "src/sched/test_point.h"
 #include "src/util/mutex.h"
 
@@ -159,7 +155,6 @@ void write_metrics_jsonl(const MetricsSnapshot& snapshot, const std::string& pat
 
 }  // namespace ullsnn::obs
 
-#if ULLSNN_TELEMETRY
 #define ULLSNN_COUNTER_ADD(name, delta)                                        \
   do {                                                                         \
     static ::ullsnn::obs::Counter& ullsnn_obs_c_ =                             \
@@ -178,8 +173,3 @@ void write_metrics_jsonl(const MetricsSnapshot& snapshot, const std::string& pat
         ::ullsnn::obs::Registry::instance().histogram(name);                   \
     ullsnn_obs_h_.observe(v);                                                  \
   } while (0)
-#else
-#define ULLSNN_COUNTER_ADD(name, delta) ((void)0)
-#define ULLSNN_GAUGE_SET(name, v) ((void)0)
-#define ULLSNN_HISTOGRAM_OBSERVE(name, v) ((void)0)
-#endif

@@ -3,8 +3,7 @@
 // TraceScope is an RAII span: construction stamps the start time, destruction
 // records a complete event into a per-thread buffer (per-thread mutex, only
 // contended during export). When the tracer is disabled — the default — a
-// span is one relaxed atomic load and a branch; with -DULLSNN_TELEMETRY=OFF
-// the ULLSNN_TRACE_* macros compile to nothing.
+// span is one relaxed atomic load and a branch.
 //
 // Export formats:
 //   write_chrome_trace: the chrome://tracing / Perfetto JSON array format
@@ -20,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/telemetry.h"
 #include "src/util/mutex.h"
 
 namespace ullsnn::obs {
@@ -107,14 +105,12 @@ class TraceScope {
 
 }  // namespace ullsnn::obs
 
-#if ULLSNN_TELEMETRY
+// Token pasting helper for macro-generated local variable names.
+#define ULLSNN_OBS_CONCAT_IMPL(a, b) a##b
+#define ULLSNN_OBS_CONCAT(a, b) ULLSNN_OBS_CONCAT_IMPL(a, b)
+
 #define ULLSNN_TRACE_SCOPE(name) \
   ::ullsnn::obs::TraceScope ULLSNN_OBS_CONCAT(ullsnn_obs_span_, __LINE__)(name)
 #define ULLSNN_TRACE_INSTANT(name) ::ullsnn::obs::Tracer::instance().record_instant(name)
 #define ULLSNN_TRACE_INSTANT_ARGS(name, args_body) \
   ::ullsnn::obs::Tracer::instance().record_instant(name, args_body)
-#else
-#define ULLSNN_TRACE_SCOPE(name) ((void)0)
-#define ULLSNN_TRACE_INSTANT(name) ((void)0)
-#define ULLSNN_TRACE_INSTANT_ARGS(name, args_body) ((void)0)
-#endif

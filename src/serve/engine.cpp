@@ -23,12 +23,15 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-robust::GuardConfig monitor_config(float explosion_threshold) {
+robust::GuardConfig monitor_config() {
   robust::GuardConfig gc;
   gc.policy = robust::GuardPolicy::kOff;  // engine only uses the scan, not the policy
-  gc.explosion_threshold = explosion_threshold;
   return gc;
 }
+
+/// Every Nth fulfilled request is sampled into the trace sink (when the
+/// tracer is enabled) as a serve.request instant with its id/status/latency.
+constexpr std::int64_t kTraceSampleEvery = 64;
 
 /// Millisecond-scale latency buckets for the serve.latency.* histograms:
 /// fine enough that the SLO tracker's within-bucket interpolation keeps
@@ -104,7 +107,7 @@ ServeEngine::ServeEngine(ServeConfig config, NetworkFactory factory)
       batcher_(config_.batcher),
       governor_(config_.governor),
       codel_(config_.codel),
-      monitor_(monitor_config(config_.explosion_threshold)),
+      monitor_(monitor_config()),
       metrics_(ServeMetrics::bind()),
       slo_(config_.obs.slo) {
   if (config_.queue_capacity <= 0) {
@@ -474,9 +477,7 @@ bool ServeEngine::fulfill(const SlotPtr& slot, InferResponse&& response,
     metrics_.latency_total_ms.observe(total_ms);
   });
   if (!won) return false;
-  const std::int64_t sample_every = config_.obs.trace_sample_every;
-  if (sample_every > 0 && record.id % sample_every == 0 &&
-      obs::Tracer::instance().enabled()) {
+  if (record.id % kTraceSampleEvery == 0 && obs::Tracer::instance().enabled()) {
     char args[80];
     std::snprintf(args, sizeof args,
                   "\"id\":%lld,\"status\":\"%s\",\"total_ms\":%.3f",

@@ -81,10 +81,6 @@ struct ServeObsConfig {
   /// timeout, breaker open, registry auto-rollback, std::terminate). Empty
   /// disables auto-dumps; recording continues regardless.
   std::string flight_dump_path;
-  /// Sample every Nth fulfilled request into the trace sink as an instant
-  /// event with its id/status/latency (when the tracer is enabled). 0
-  /// disables sampling; 1 traces every request.
-  std::int64_t trace_sample_every = 64;
   /// Latency objective + target behind the slo.* gauges and the error-budget
   /// burn rate exported at /metrics.
   obs::SloConfig slo;
@@ -115,16 +111,13 @@ struct ServeConfig {
   /// Initial retry backoff; doubles per attempt (0 disables sleeping, which
   /// keeps chaos tests fast while preserving the retry path).
   std::chrono::microseconds retry_backoff{200};
-  /// |logit| above this counts as numeric distress (matches
-  /// robust::GuardConfig::explosion_threshold semantics).
-  float explosion_threshold = 1e6F;
   /// Expected single-request input shape, e.g. {3, 32, 32}. Mismatching
   /// submissions are rejected at admission.
   Shape input_shape;
-  /// Live-operations layer (endpoint, flight dumps, SLO, trace sampling).
+  /// Live-operations layer (endpoint, flight dumps, SLO).
   ServeObsConfig obs;
 
-  // ---- chaos hooks (tests / bench_serve; null in production) ----
+  // ---- chaos hooks (tests / bench_load; null in production) ----
   /// Called before each forward attempt with the batch's request ids and the
   /// attempt index. Throwing simulates a transiently failing step; pair with
   /// robust::FaultInjector to corrupt real state.
@@ -149,8 +142,7 @@ struct SubmitResult {
   InferResponse response;  // filled only when !accepted
 };
 
-/// Engine-owned counters, independent of the telemetry build flag so tests
-/// can assert exact totals in every configuration. Conservation ledger
+/// Engine-owned counters, exact so tests can assert totals. Conservation ledger
 /// (exact, established by the slot's winning critical section):
 ///
 ///   submitted = accepted + rejected + shed_admission
@@ -321,10 +313,9 @@ class ServeEngine {
   mutable AtomicStats stats_;
 
   // Live-operations layer. serve_metrics_ holds direct registry instrument
-  // references (bound once in the constructor), so the serve.* series are
-  // exact in every build configuration — unlike the ULLSNN_* macros, they do
-  // not compile away with -DULLSNN_TELEMETRY=OFF, which is what lets the
-  // /metrics-vs-ServeStats conservation gate run in both CI legs.
+  // references (bound once in the constructor), so every serve.* update is
+  // one relaxed atomic add with no name lookup, and the /metrics-vs-ServeStats
+  // conservation gate can compare the two exactly.
   struct ServeMetrics {
     obs::Counter& submitted;
     obs::Counter& accepted;

@@ -1,10 +1,10 @@
 // Open-loop Poisson load generator with coordinated-omission-safe latency.
 //
-// The difference between this and bench_serve's closed-loop soak is what
-// happens when the engine falls behind. A closed-loop driver waits for
-// responses before sending more work, so an overloaded engine quietly
-// throttles its own load source and the measured latencies describe a
-// gentler workload than the one requested — the coordinated-omission trap.
+// What sets this apart from a closed-loop driver is what happens when the
+// engine falls behind. A closed-loop driver waits for responses before
+// sending more work, so an overloaded engine quietly throttles its own load
+// source and the measured latencies describe a gentler workload than the
+// one requested — the coordinated-omission trap.
 // This generator is open-loop: arrivals follow a Poisson process (seeded
 // exponential inter-arrival gaps) whose *intended* start times are fixed
 // before the run begins, every request is submitted regardless of engine

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/obs/build_info.h"
 #include "src/obs/metrics.h"
 #include "src/robust/fault_injector.h"
 #include "src/snn/snn_network.h"
@@ -204,14 +203,12 @@ TEST(ArtifactTest, Int8PackRoundTripsAndReplaysCanaryBitExact) {
   // Sanity: the precision flag actually routed dense samples through the
   // int8 kernel (spike thresholding can absorb the quantization deltas on a
   // net this small, so compare dispatch counts, not logits).
-  if (obs::build_info().telemetry) {
-    const std::int64_t before =
-        obs::Registry::instance().counter("kernels.int8_dispatch").value();
-    replica->reset_state();
-    replica->forward(batch, false);
-    EXPECT_GT(obs::Registry::instance().counter("kernels.int8_dispatch").value(),
-              before);
-  }
+  const std::int64_t before =
+      obs::Registry::instance().counter("kernels.int8_dispatch").value();
+  replica->reset_state();
+  replica->forward(batch, false);
+  EXPECT_GT(obs::Registry::instance().counter("kernels.int8_dispatch").value(),
+            before);
   std::filesystem::remove(path);
 }
 

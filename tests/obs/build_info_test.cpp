@@ -4,8 +4,6 @@
 
 #include <sstream>
 
-#include "src/obs/telemetry.h"
-
 namespace ullsnn::obs {
 namespace {
 
@@ -15,10 +13,6 @@ TEST(BuildInfo, CompilerDetected) {
   EXPECT_NE(b.compiler, "unknown");
 }
 
-TEST(BuildInfo, TelemetryFlagMatchesCompileTimeSwitch) {
-  EXPECT_EQ(build_info().telemetry, ULLSNN_TELEMETRY != 0);
-}
-
 TEST(BuildInfo, CommentHasOneFieldPerLineNoTrailingNewline) {
   const std::string comment = build_info_comment();
   ASSERT_FALSE(comment.empty());
@@ -26,17 +20,15 @@ TEST(BuildInfo, CommentHasOneFieldPerLineNoTrailingNewline) {
   std::istringstream lines(comment);
   std::string line;
   std::size_t n = 0;
-  bool has_compiler = false, has_git = false, has_telemetry = false;
+  bool has_compiler = false, has_git = false;
   while (std::getline(lines, line)) {
     ++n;
     if (line.rfind("compiler: ", 0) == 0) has_compiler = true;
     if (line.rfind("git: ", 0) == 0) has_git = true;
-    if (line.rfind("telemetry: ", 0) == 0) has_telemetry = true;
   }
-  EXPECT_EQ(n, 6U);
+  EXPECT_EQ(n, 5U);
   EXPECT_TRUE(has_compiler);
   EXPECT_TRUE(has_git);
-  EXPECT_TRUE(has_telemetry);
 }
 
 TEST(BuildInfo, StableAcrossCalls) {

@@ -183,8 +183,8 @@ TEST(EngineObsTest, MetricsEndpointConservesCountsAgainstServeStats) {
             kRequests);
   // The exposition carries the SLO gauges the tracker publishes on scrape.
   EXPECT_GE(scrape_value(scrape.body, "serve_slo_p50_ms"), 0.0);
-  // The governor publishes both its families through always-on instruments,
-  // so they are scraped in every build configuration (telemetry OFF too).
+  // The governor publishes both its families through engine-owned
+  // instruments, so both are always in the scrape.
   EXPECT_EQ(scrape_value(scrape.body, "serve_breaker_state"), 0.0);
   EXPECT_EQ(scrape_value(scrape.body, "serve_breaker_time_steps"), 3.0);
   EXPECT_GE(scrape_value(scrape.body, "serve_breaker_trips"), 0.0);
@@ -194,6 +194,64 @@ TEST(EngineObsTest, MetricsEndpointConservesCountsAgainstServeStats) {
   EXPECT_EQ(scrape_value(scrape.body, "serve_overload_brownout_time_steps"), 3.0);
   EXPECT_GE(scrape_value(scrape.body, "serve_overload_brownout_escalations"), 0.0);
   EXPECT_GE(scrape_value(scrape.body, "serve_overload_brownout_recoveries"), 0.0);
+  engine.stop();
+}
+
+TEST(EngineObsTest, MetricsConserveUnderInjectedFaults) {
+  // The chaos schedule of ChaosSoakCompletesAtLeast99PercentDespiteFaults
+  // (5% of ids fail their first attempt, so their batch retries), plus 1%
+  // of ids that fail every attempt (their batch ends in kError) and one
+  // malformed submission (rejected at admission): every counter the retry
+  // and error paths touch moves, and the scrape must still equal ServeStats.
+  obs::Registry::instance().reset_values();
+  std::atomic<std::int64_t> faults_fired{0};
+  ServeConfig config = base_config();
+  config.obs.endpoint = true;
+  config.workers = 2;
+  config.queue_capacity = 256;
+  config.batcher.max_batch = 8;
+  config.max_attempts = 3;
+  config.before_forward_hook = [&faults_fired](const std::vector<std::int64_t>& ids,
+                                               std::int64_t attempt,
+                                               snn::SnnNetwork&) {
+    for (const std::int64_t id : ids) {
+      if ((attempt == 0 && id % 20 == 0) || id % 100 == 50) {
+        faults_fired.fetch_add(1);
+        throw std::runtime_error("injected fault");
+      }
+    }
+  };
+  ServeEngine engine(config, tiny_factory());
+  engine.start();
+  ASSERT_GT(engine.http_port(), 0);
+  EXPECT_FALSE(engine.submit(Tensor({3})).accepted);
+  constexpr std::int64_t kRequests = 400;
+  constexpr std::int64_t kWave = 100;  // under capacity: nothing is shed
+  for (std::int64_t base = 0; base < kRequests; base += kWave) {
+    std::vector<ResponseFuture> futures;
+    for (std::int64_t i = base; i < base + kWave; ++i) {
+      SubmitResult s = engine.submit(class_image(i % 2));
+      ASSERT_TRUE(s.accepted);
+      futures.push_back(std::move(s.future));
+    }
+    for (auto& f : futures) f.get();
+  }
+  const ServeStats stats = engine.stats();
+  const auto scrape = http_request(engine.http_port(), "/metrics");
+  ASSERT_TRUE(scrape.ok);
+  ASSERT_EQ(scrape.status, 200);
+  EXPECT_GT(faults_fired.load(), 0);
+  EXPECT_GT(stats.retries, 0);
+  EXPECT_GT(stats.errors, 0);
+  EXPECT_EQ(stats.rejected, 1);
+  EXPECT_EQ(scrape_value(scrape.body, "serve_submitted"), stats.submitted);
+  EXPECT_EQ(scrape_value(scrape.body, "serve_accepted"), stats.accepted);
+  EXPECT_EQ(scrape_value(scrape.body, "serve_rejected"), stats.rejected);
+  EXPECT_EQ(scrape_value(scrape.body, "serve_retries"), stats.retries);
+  EXPECT_EQ(scrape_value(scrape.body, "serve_errors"), stats.errors);
+  EXPECT_EQ(scrape_value(scrape.body, "serve_timeouts"), stats.timeouts);
+  EXPECT_EQ(scrape_value(scrape.body, "serve_latency_total_ms_count"),
+            stats.accepted);
   engine.stop();
 }
 

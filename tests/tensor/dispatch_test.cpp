@@ -16,7 +16,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/obs/build_info.h"
 #include "src/obs/metrics.h"
 #include "src/tensor/arena.h"
 #include "src/tensor/gemm.h"
@@ -339,13 +338,10 @@ TEST(DispatchTest, PackedBFromStalePlanRejected) {
 }
 
 TEST(DispatchTest, IsaGaugeAndOverrideValidation) {
-  // First plan resolution sets the kernels.isa gauge (telemetry builds).
+  // First plan resolution sets the kernels.isa gauge.
   (void)kernel_plan();
-  if (obs::build_info().telemetry) {
-    const double gauge =
-        obs::Registry::instance().gauge("kernels.isa").value();
-    EXPECT_EQ(gauge, static_cast<double>(static_cast<int>(active_kernel_isa())));
-  }
+  const double gauge = obs::Registry::instance().gauge("kernels.isa").value();
+  EXPECT_EQ(gauge, static_cast<double>(static_cast<int>(active_kernel_isa())));
   const std::vector<KernelIsa> isas = supported_kernel_isas();
   EXPECT_EQ(isas.front(), KernelIsa::kScalar);
   if (std::find(isas.begin(), isas.end(), KernelIsa::kAvx512) == isas.end()) {

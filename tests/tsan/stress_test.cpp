@@ -125,9 +125,7 @@ TEST(TsanStressTest, ParallelForFeedsRegistry) {
       ULLSNN_HISTOGRAM_OBSERVE("tsan.pf.hist", static_cast<double>(i));
     });
   }
-#if ULLSNN_TELEMETRY
   EXPECT_EQ(obs::Registry::instance().counter("tsan.pf.counter").value(), 20 * 64);
-#endif
 }
 
 TEST(TsanStressTest, FaultInjectorSharedAcrossThreads) {

@@ -7,11 +7,6 @@
 # Modes:
 #   kernels (default)  google-benchmark kernel microbenches -> compare with
 #                      tools/compare_bench.py against bench/BENCH_kernels.json
-#   serve              resilient-serving soak + accuracy-vs-T + the
-#                      observability-overhead gate via bench_serve (latency
-#                      percentiles, completion rate, breaker counters, live
-#                      /metrics conservation, endpoint-on-vs-off p99)
-#                      -> bench/BENCH_serve.json
 #   artifact           artifact spin-up timings + swap-under-load soak via
 #                      bench_artifact (cold load vs mmap, zero-copy vs
 #                      deep-copy replicas, swap-drain latency, rollback
@@ -21,7 +16,10 @@
 #                      goodput/shed/latency, and the overload gates
 #                      (conservation, zero watchdog terminations, bounded
 #                      overload p99, priority order, clean drain)
-#                      -> bench/BENCH_load.json
+#                      -> bench/BENCH_load.json. The chaos soak with the live
+#                      endpoint and the observability-overhead gate are
+#                      bench_load flags (--faults/--http, --overhead); run
+#                      them directly (see docs/serving.md).
 #
 # MODE may be omitted; a first argument that is not a known mode is taken as
 # BUILD_DIR for backward compatibility.
@@ -32,11 +30,6 @@
 #   ULLSNN_BENCH_FILTER    --benchmark_filter regex (default: everything)
 #   ULLSNN_BENCH_MIN_TIME  --benchmark_min_time seconds per repetition, as a
 #                          plain double (e.g. 0.1); unset = library default
-#
-# Environment (serve mode):
-#   ULLSNN_BENCH_SCALE     quick|default|full data/model scale (bench/common.h)
-#   ULLSNN_SERVE_SECONDS   soak duration in seconds (default 10)
-#   ULLSNN_SERVE_FAULTS    injected transient-fault rate in [0,1] (default 0.05)
 #
 # Environment (artifact mode):
 #   ULLSNN_BENCH_SCALE         quick|default|full (bench/common.h)
@@ -50,7 +43,7 @@
 #                          (default "0.5,0.75,1.0,1.5,2.0,3.0")
 #   ULLSNN_LOAD_WORKERS    serving workers (default 2)
 #
-# The build-info stamp (compiler, flags, git hash, telemetry) is embedded in
+# The build-info stamp (compiler, flags, git hash) is embedded in
 # the kernels JSON "context" object by bench_kernels itself.
 set -euo pipefail
 
@@ -81,7 +74,7 @@ require mktemp
 
 MODE="kernels"
 case "${1:-}" in
-  kernels|serve|artifact|load)
+  kernels|artifact|load)
     MODE="$1"
     shift
     ;;
@@ -129,29 +122,6 @@ if [[ "$MODE" == "load" ]]; then
   "$BIN" "${args[@]}"
   publish_json "$TMP_OUT" "$OUT"
   echo "wrote $OUT (open-loop load sweep snapshot)" >&2
-  exit 0
-fi
-
-if [[ "$MODE" == "serve" ]]; then
-  OUT="${2:-BENCH_serve.json}"
-  BIN="$BUILD_DIR/bench/bench_serve"
-  if [[ ! -x "$BIN" ]]; then
-    echo "error: $BIN not found or not executable (build the bench_serve target first)" >&2
-    exit 1
-  fi
-  # bench_serve exits non-zero if the soak misses its completion-rate,
-  # admission-conservation, or /metrics-conservation gates, or if the live
-  # endpoint costs more than 5% at p99 — failing this script with it.
-  # --http 0 serves /metrics,/healthz,/flight on an ephemeral port during
-  # the soak and self-scrapes it at quiescence.
-  TMP_OUT="$(mktemp "$OUT.XXXXXX")"
-  trap 'rm -f "$TMP_OUT"' EXIT
-  "$BIN" --soak --accuracy --overhead --http 0 \
-    --seconds "${ULLSNN_SERVE_SECONDS:-10}" \
-    --faults "${ULLSNN_SERVE_FAULTS:-0.05}" \
-    --json "$TMP_OUT"
-  publish_json "$TMP_OUT" "$OUT"
-  echo "wrote $OUT (serving soak + accuracy-vs-T snapshot)" >&2
   exit 0
 fi
 
