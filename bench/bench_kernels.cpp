@@ -3,7 +3,7 @@
 // Covers the full hot-kernel surface: blocked vs naive GEMM (all three
 // transpose variants), batched conv forward/backward, the linear layer,
 // pooling, the sparse-vs-dense spike-GEMM density sweep, IF-neuron stepping,
-// and dense vs event-driven inference.
+// and whole-network spiking inference at three input activities.
 //
 // Regression workflow: tools/bench_to_json.sh runs this binary with JSON
 // output and stamps it with build provenance; the checked-in
@@ -15,7 +15,6 @@
 #include <benchmark/benchmark.h>
 
 #include "src/obs/build_info.h"
-#include "src/snn/event_driven.h"
 #include "src/snn/neuron.h"
 #include "src/snn/snn_network.h"
 #include "src/tensor/gemm.h"
@@ -317,10 +316,11 @@ void BM_IfNeuronStep(benchmark::State& state) {
 }
 BENCHMARK(BM_IfNeuronStep)->Arg(1 << 12)->Arg(1 << 16)->MinTime(0.2);
 
-// Dense time-stepped vs event-driven inference at controlled input activity.
-// The event engine's runtime should drop with activity while the dense
-// engine's stays flat — the software analogue of the Sec. VI sparsity
-// argument. Arg: active pixels per mille (1000 = fully dense).
+// Whole-network SnnNetwork inference at controlled input activity. Each
+// spiking layer picks the sparse per-spike kernel or the dense one per
+// sample from its input density, so runtime should drop with activity — the
+// software analogue of the Sec. VI sparsity argument. Arg: active pixels per
+// mille (1000 = fully dense).
 std::unique_ptr<snn::SnnNetwork> sparse_bench_net() {
   auto net = std::make_unique<snn::SnnNetwork>(2);
   Rng rng(7);
@@ -354,18 +354,6 @@ void BM_DenseInference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DenseInference)->Arg(1000)->Arg(100)->Arg(10)->MinTime(0.2);
-
-void BM_EventDrivenInference(benchmark::State& state) {
-  auto net = sparse_bench_net();
-  snn::EventDrivenEngine engine(*net);
-  Rng rng(8);
-  const Tensor input = sparse_input(state.range(0), rng);
-  for (auto _ : state) {
-    Tensor logits = engine.forward(input);
-    benchmark::DoNotOptimize(logits.data());
-  }
-}
-BENCHMARK(BM_EventDrivenInference)->Arg(1000)->Arg(100)->Arg(10)->MinTime(0.2);
 
 }  // namespace
 

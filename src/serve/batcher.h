@@ -25,13 +25,14 @@
 
 namespace ullsnn::serve {
 
+/// How long collect() blocks waiting for the first request before giving up
+/// and returning an empty batch (lets workers poll for shutdown).
+inline constexpr std::chrono::milliseconds kBatcherPollTimeout{20};
+
 struct BatcherConfig {
   std::int64_t max_batch = 8;
   /// Oldest-request age at which a partial batch is flushed.
   std::chrono::milliseconds max_batch_delay{2};
-  /// How long collect() blocks waiting for the first request before giving
-  /// up and returning an empty batch (lets workers poll for shutdown).
-  std::chrono::milliseconds poll_timeout{20};
 };
 
 struct MicroBatch {
@@ -50,27 +51,15 @@ class MicroBatcher {
   const BatcherConfig& config() const { return config_; }
 
   /// Pull the next micro-batch from the strict-priority `queue`. Blocks up
-  /// to poll_timeout for the first request; then drains greedily until the
-  /// batch is full, the age limit trips, or the queue is momentarily empty.
-  /// Expired/shed requests are separated out and do not count toward
-  /// max_batch. `codel` (optional) classifies in-deadline requests by
-  /// sojourn time.
+  /// to kBatcherPollTimeout for the first request; then drains greedily
+  /// until the batch is full, the age limit trips, or the queue is
+  /// momentarily empty. Expired/shed requests are separated out and do not
+  /// count toward max_batch. `codel` (optional) classifies in-deadline
+  /// requests by sojourn time.
   MicroBatch collect(LaneQueue<PendingRequest>& queue, CoDelController* codel) {
-    return collect_impl(queue, codel);
-  }
-
-  /// Single-lane compatibility overload (no CoDel) for callers that still
-  /// drive a plain BoundedQueue.
-  MicroBatch collect(BoundedQueue<PendingRequest>& queue) {
-    return collect_impl(queue, nullptr);
-  }
-
- private:
-  template <typename Queue>
-  MicroBatch collect_impl(Queue& queue, CoDelController* codel) {
     MicroBatch batch;
     PendingRequest first;
-    if (!queue.pop(&first, config_.poll_timeout)) return batch;
+    if (!queue.pop(&first, kBatcherPollTimeout)) return batch;
     admit(std::move(first), batch, codel);
     while (static_cast<std::int64_t>(batch.requests.size()) < config_.max_batch) {
       if (!batch.requests.empty() &&
@@ -85,6 +74,7 @@ class MicroBatcher {
     return batch;
   }
 
+ private:
   static void admit(PendingRequest&& request, MicroBatch& batch,
                     CoDelController* codel) {
     const auto now = Clock::now();

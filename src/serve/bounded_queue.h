@@ -1,19 +1,20 @@
-// Bounded MPMC queue with explicit admission control.
+// Bounded MPMC admission queue with strict-priority lanes.
 //
 // The serving engine's first line of defense against overload: try_push never
-// blocks and never grows the queue past its capacity — a full queue yields an
+// blocks and never grows a lane past its capacity — a full lane yields an
 // immediate, reasoned rejection instead of unbounded memory or a client stuck
 // in a blocking push. Consumers block with a timeout so worker threads can
 // periodically re-check for shutdown without spinning.
 //
-// Peak-depth tracking is exact (updated under the same mutex as the deque),
-// giving tests and the soak harness a precise bound to assert against.
+// Peak-depth tracking (total and per lane) is exact: it is updated under the
+// same mutex as the lanes, giving tests and load runs a precise bound to
+// assert against.
 //
 // Concurrency contract (statically checked, see docs/concurrency.md): every
 // piece of mutable state is GUARDED_BY(mu_); a Clang -Werror=thread-safety
 // build rejects any unlocked access. The sched model tests drive this class
 // through exhaustive interleavings asserting conservation (no lost or
-// duplicated items) and the capacity/peak-depth bounds.
+// duplicated items), per-lane capacity and strict lane priority.
 #pragma once
 
 #include <array>
@@ -38,94 +39,6 @@ inline const char* to_string(AdmitError e) {
   return "unknown";
 }
 
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::int64_t capacity) : capacity_(capacity) {}
-
-  /// Non-blocking admission. Returns kNone and takes ownership on success;
-  /// on kFull/kClosed the item is left untouched in the caller's hands.
-  AdmitError try_push(T&& item) {
-    {
-      MutexLock lock(mu_);
-      if (closed_) return AdmitError::kClosed;
-      if (static_cast<std::int64_t>(items_.size()) >= capacity_) {
-        return AdmitError::kFull;
-      }
-      items_.push_back(std::move(item));
-      const auto depth = static_cast<std::int64_t>(items_.size());
-      if (depth > peak_depth_) peak_depth_ = depth;
-    }
-    ready_.notify_one();
-    return AdmitError::kNone;
-  }
-
-  /// Blocking pop with timeout. Returns true and fills `out` when an item
-  /// arrives; false on timeout or when the queue is closed and drained.
-  bool pop(T* out, std::chrono::milliseconds timeout) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    MutexLock lock(mu_);
-    // Explicit predicate loop (not the lambda-predicate wait overload) so the
-    // thread-safety analysis can prove the guarded reads happen under mu_.
-    while (!closed_ && items_.empty()) {
-      if (ready_.wait_until(mu_, deadline) == std::cv_status::timeout) {
-        if (closed_ || !items_.empty()) break;  // raced an arrival at expiry
-        return false;
-      }
-    }
-    if (items_.empty()) return false;  // closed and drained
-    *out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
-  /// Non-blocking pop; used by the batcher to drain coalescable requests
-  /// after the first blocking pop succeeded.
-  bool try_pop(T* out) {
-    MutexLock lock(mu_);
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    return true;
-  }
-
-  /// Reject all future pushes and wake every blocked consumer. Items already
-  /// queued remain poppable (the engine drains and fails them on stop).
-  void close() {
-    {
-      MutexLock lock(mu_);
-      closed_ = true;
-    }
-    ready_.notify_all();
-  }
-
-  bool closed() const {
-    MutexLock lock(mu_);
-    return closed_;
-  }
-
-  std::int64_t depth() const {
-    MutexLock lock(mu_);
-    return static_cast<std::int64_t>(items_.size());
-  }
-
-  /// Highest depth ever observed (exact; tracked under the queue mutex).
-  std::int64_t peak_depth() const {
-    MutexLock lock(mu_);
-    return peak_depth_;
-  }
-
-  std::int64_t capacity() const { return capacity_; }
-
- private:
-  const std::int64_t capacity_;
-  mutable Mutex mu_;
-  CondVar ready_;
-  std::deque<T> items_ GUARDED_BY(mu_);
-  std::int64_t peak_depth_ GUARDED_BY(mu_) = 0;
-  bool closed_ GUARDED_BY(mu_) = false;
-};
-
 /// Bounded MPMC queue with `kLanes` strict-priority lanes (lane 0 first).
 ///
 /// Each lane has its own capacity, so a flood of low-priority work can fill
@@ -136,9 +49,7 @@ class BoundedQueue {
 /// sojourn times (and therefore p99) bounded while batch work queues up and
 /// absorbs the deadline/CoDel shedding.
 ///
-/// Same concurrency contract as BoundedQueue: all mutable state GUARDED_BY
-/// one mutex, try_push never blocks, pop blocks with a timeout, close()
-/// leaves queued items poppable for a drain.
+/// `LaneQueue<T, 1>` is a plain bounded FIFO.
 template <typename T, std::size_t kLanes = 2>
 class LaneQueue {
   static_assert(kLanes >= 1, "LaneQueue needs at least one lane");

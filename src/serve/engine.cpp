@@ -712,7 +712,7 @@ bool ServeEngine::run_batch(snn::SnnNetwork& net, MicroBatch&& batch,
 
 void ServeEngine::watchdog_loop() {
   while (!stopping_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(config_.watchdog_period);
+    std::this_thread::sleep_for(kWatchdogPeriod);
     const auto now = Clock::now();
     MutexLock lock(inflight_mu_);
     for (auto it = inflight_.begin(); it != inflight_.end();) {
@@ -771,12 +771,6 @@ ServeStats ServeEngine::stats() const {
   s.brownout_level = governor_.load_rung();
   s.brownout_escalations = governor_.load_escalations();
   s.brownout_recoveries = governor_.load_recoveries();
-  const obs::SloTracker::Report slo = slo_.update();
-  s.slo_p50_ms = slo.p50_ms;
-  s.slo_p95_ms = slo.p95_ms;
-  s.slo_p99_ms = slo.p99_ms;
-  s.slo_compliance = slo.compliance;
-  s.slo_burn = slo.burn;
   return s;
 }
 

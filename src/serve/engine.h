@@ -5,7 +5,7 @@
 //
 // Request lifecycle:
 //
-//   submit() --admission--> BoundedQueue --MicroBatcher--> worker
+//   submit() --admission--> LaneQueue --MicroBatcher--> worker
 //     |  kRejected (full/stopped/bad input)     |  kExpired (deadline shed)
 //     |                                         |  kShed (CoDel)
 //     |                                         |--> governor.observe_queue(depth)
@@ -86,6 +86,11 @@ struct ServeObsConfig {
   obs::SloConfig slo;
 };
 
+/// How often the watchdog sweeps in-flight requests for hard timeouts (and
+/// republishes the queue-depth gauges): a timed-out client is released at
+/// most this long after its request_timeout.
+inline constexpr std::chrono::milliseconds kWatchdogPeriod{10};
+
 struct ServeConfig {
   /// Capacity of the interactive admission lane.
   std::int64_t queue_capacity = 256;
@@ -105,7 +110,6 @@ struct ServeConfig {
   /// Hard per-request timeout enforced by the watchdog, measured from
   /// admission. Must be >= any deadline for deadlines to be meaningful.
   std::chrono::milliseconds request_timeout{1000};
-  std::chrono::milliseconds watchdog_period{10};
   /// Forward attempts per batch (1 = no retry).
   std::int64_t max_attempts = 3;
   /// Initial retry backoff; doubles per attempt (0 disables sleeping, which
@@ -168,14 +172,6 @@ struct ServeStats {
   std::int64_t brownout_level = 0;        // governor's current load rung
   std::int64_t brownout_escalations = 0;  // load rungs descended
   std::int64_t brownout_recoveries = 0;   // load rungs climbed back
-
-  // SLO snapshot from the most recent SloTracker update (stats() refreshes
-  // it): rolling percentiles and the error-budget burn rate.
-  double slo_p50_ms = 0.0;
-  double slo_p95_ms = 0.0;
-  double slo_p99_ms = 0.0;
-  double slo_compliance = 1.0;
-  double slo_burn = 0.0;
 };
 
 class ServeEngine {
@@ -228,10 +224,6 @@ class ServeEngine {
   /// Actual port of the embedded endpoint (config.obs.endpoint); 0 when the
   /// endpoint is disabled or the engine is not running.
   int http_port() const;
-  /// The engine's SLO tracker (rolling percentiles + error-budget burn).
-  /// update() advances the rolling window — /metrics scrapes and stats()
-  /// both call it; tests can drive it directly.
-  obs::SloTracker& slo() { return slo_; }
 
   /// Registry mode only: how many workers currently serve the registry's
   /// active version (== config.workers once a swap has fully propagated).
@@ -345,7 +337,9 @@ class ServeEngine {
     static ServeMetrics bind();
   };
   ServeMetrics metrics_;
-  mutable obs::SloTracker slo_;
+  // Advanced only by /metrics scrapes, so each exposition's slo.* gauges
+  // describe exactly the interval since the previous scrape.
+  obs::SloTracker slo_;
   std::unique_ptr<obs::HttpEndpoint> endpoint_;
 };
 

@@ -211,8 +211,8 @@ LoadReport LoadGen::run(ServeEngine& engine) {
   // Completion side: collectors block on futures so the submitter never
   // does. The queue is sized for the whole run — it must never refuse an
   // accepted request's future (that would break conservation).
-  BoundedQueue<Outstanding> completions(
-      static_cast<std::int64_t>(schedule.size()) + 1);
+  LaneQueue<Outstanding, 1> completions(
+      {static_cast<std::int64_t>(schedule.size()) + 1});
   std::vector<std::thread> collectors;
   collectors.reserve(static_cast<std::size_t>(config_.collectors));
   for (std::int64_t c = 0; c < config_.collectors; ++c) {
@@ -293,7 +293,8 @@ LoadReport LoadGen::run(ServeEngine& engine) {
       // Cannot fail: capacity covers the whole schedule.
       completions.try_push(Outstanding{std::move(result.future),
                                        lag_ms > 0.0 ? lag_ms : 0.0,
-                                       arrival.priority});
+                                       arrival.priority},
+                             /*lane=*/0);
     }
   }
   const auto submit_end = Clock::now();

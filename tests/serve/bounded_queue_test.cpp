@@ -11,13 +11,16 @@ namespace {
 
 using namespace std::chrono_literals;
 
-TEST(BoundedQueueTest, AdmitsUpToCapacityThenRejectsFull) {
-  BoundedQueue<int> q(3);
+constexpr std::size_t kInteractive = 0;
+constexpr std::size_t kBatch = 1;
+
+TEST(LaneQueueTest, AdmitsUpToCapacityThenRejectsFull) {
+  LaneQueue<int> q({3, 3});
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(q.try_push(int(i)), AdmitError::kNone);
+    EXPECT_EQ(q.try_push(int(i), kInteractive), AdmitError::kNone);
   }
   int overflow = 99;
-  EXPECT_EQ(q.try_push(std::move(overflow)), AdmitError::kFull);
+  EXPECT_EQ(q.try_push(std::move(overflow), kInteractive), AdmitError::kFull);
   EXPECT_EQ(q.depth(), 3);
   // The rejected item never entered the queue.
   int out = -1;
@@ -26,9 +29,11 @@ TEST(BoundedQueueTest, AdmitsUpToCapacityThenRejectsFull) {
   EXPECT_EQ(q.depth(), 2);
 }
 
-TEST(BoundedQueueTest, FifoOrder) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) ASSERT_EQ(q.try_push(int(i)), AdmitError::kNone);
+TEST(LaneQueueTest, FifoOrder) {
+  LaneQueue<int> q({8, 8});
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_EQ(q.try_push(int(i), kBatch), AdmitError::kNone);
+  }
   for (int i = 0; i < 5; ++i) {
     int out = -1;
     ASSERT_TRUE(q.try_pop(&out));
@@ -38,19 +43,20 @@ TEST(BoundedQueueTest, FifoOrder) {
   EXPECT_FALSE(q.try_pop(&out));
 }
 
-TEST(BoundedQueueTest, PopTimesOutOnEmptyQueue) {
-  BoundedQueue<int> q(4);
+TEST(LaneQueueTest, PopTimesOutOnEmptyQueue) {
+  LaneQueue<int> q({4, 4});
   int out = -1;
   EXPECT_FALSE(q.pop(&out, 5ms));
 }
 
-TEST(BoundedQueueTest, CloseRejectsPushesButDrainsQueuedItems) {
-  BoundedQueue<int> q(4);
-  ASSERT_EQ(q.try_push(1), AdmitError::kNone);
-  ASSERT_EQ(q.try_push(2), AdmitError::kNone);
+TEST(LaneQueueTest, CloseRejectsPushesButDrainsQueuedItems) {
+  LaneQueue<int> q({4, 4});
+  ASSERT_EQ(q.try_push(1, kInteractive), AdmitError::kNone);
+  ASSERT_EQ(q.try_push(2, kBatch), AdmitError::kNone);
   q.close();
   EXPECT_TRUE(q.closed());
-  EXPECT_EQ(q.try_push(3), AdmitError::kClosed);
+  EXPECT_EQ(q.try_push(3, kInteractive), AdmitError::kClosed);
+  EXPECT_EQ(q.try_push(4, kBatch), AdmitError::kClosed);
   // Items enqueued before close stay poppable (the engine drains them on
   // stop and fails them explicitly rather than dropping them silently).
   int out = -1;
@@ -63,8 +69,8 @@ TEST(BoundedQueueTest, CloseRejectsPushesButDrainsQueuedItems) {
   EXPECT_FALSE(q.pop(&out, 1000ms));
 }
 
-TEST(BoundedQueueTest, CloseWakesBlockedConsumer) {
-  BoundedQueue<int> q(4);
+TEST(LaneQueueTest, CloseWakesBlockedConsumer) {
+  LaneQueue<int> q({4, 4});
   std::atomic<bool> woke{false};
   std::thread consumer([&] {
     int out = -1;
@@ -77,21 +83,71 @@ TEST(BoundedQueueTest, CloseWakesBlockedConsumer) {
   EXPECT_TRUE(woke.load());
 }
 
-TEST(BoundedQueueTest, PeakDepthIsExact) {
-  BoundedQueue<int> q(10);
-  for (int i = 0; i < 7; ++i) ASSERT_EQ(q.try_push(int(i)), AdmitError::kNone);
+TEST(LaneQueueTest, PeakDepthIsExact) {
+  LaneQueue<int> q({10, 10});
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(q.try_push(int(i), kInteractive), AdmitError::kNone);
+  }
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(q.try_push(int(i), kBatch), AdmitError::kNone);
+  }
   int out = -1;
   for (int i = 0; i < 7; ++i) ASSERT_TRUE(q.try_pop(&out));
-  ASSERT_EQ(q.try_push(42), AdmitError::kNone);
+  ASSERT_EQ(q.try_push(42, kBatch), AdmitError::kNone);
+  // Total peak counts both lanes at their common high-water mark; each lane
+  // keeps its own.
   EXPECT_EQ(q.peak_depth(), 7);
+  EXPECT_EQ(q.lane_peak_depth(kInteractive), 4);
+  EXPECT_EQ(q.lane_peak_depth(kBatch), 3);
   EXPECT_EQ(q.depth(), 1);
+  EXPECT_EQ(q.lane_depth(kInteractive), 0);
+  EXPECT_EQ(q.lane_depth(kBatch), 1);
 }
 
-TEST(BoundedQueueTest, ConcurrentProducersConsumersConserveItems) {
+TEST(LaneQueueTest, FullBatchLaneNeverRefusesInteractive) {
+  LaneQueue<int> q({2, 3});
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(q.try_push(100 + i, kBatch), AdmitError::kNone);
+  }
+  EXPECT_EQ(q.try_push(199, kBatch), AdmitError::kFull);
+  // The batch lane is full, but fullness is per lane: interactive admission
+  // still has its own two slots.
+  EXPECT_EQ(q.try_push(1, kInteractive), AdmitError::kNone);
+  EXPECT_EQ(q.try_push(2, kInteractive), AdmitError::kNone);
+  EXPECT_EQ(q.try_push(3, kInteractive), AdmitError::kFull);
+  EXPECT_EQ(q.lane_depth(kInteractive), 2);
+  EXPECT_EQ(q.lane_depth(kBatch), 3);
+  EXPECT_EQ(q.total_capacity(), 5);
+}
+
+TEST(LaneQueueTest, PopDrainsInteractiveLaneBeforeBatchLane) {
+  LaneQueue<int> q({4, 4});
+  // Batch work arrives first; interactive work still leaves first.
+  ASSERT_EQ(q.try_push(10, kBatch), AdmitError::kNone);
+  ASSERT_EQ(q.try_push(11, kBatch), AdmitError::kNone);
+  ASSERT_EQ(q.try_push(1, kInteractive), AdmitError::kNone);
+  ASSERT_EQ(q.try_push(2, kInteractive), AdmitError::kNone);
+  int out = -1;
+  ASSERT_TRUE(q.pop(&out, 5ms));
+  EXPECT_EQ(out, 1);
+  ASSERT_TRUE(q.try_pop(&out));
+  EXPECT_EQ(out, 2);
+  // An interactive arrival overtakes batch work already waiting.
+  ASSERT_EQ(q.try_push(3, kInteractive), AdmitError::kNone);
+  ASSERT_TRUE(q.try_pop(&out));
+  EXPECT_EQ(out, 3);
+  ASSERT_TRUE(q.pop(&out, 5ms));
+  EXPECT_EQ(out, 10);
+  ASSERT_TRUE(q.try_pop(&out));
+  EXPECT_EQ(out, 11);
+  EXPECT_FALSE(q.try_pop(&out));
+}
+
+TEST(LaneQueueTest, ConcurrentProducersConsumersConserveItems) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 4;
   constexpr int kPerProducer = 500;
-  BoundedQueue<int> q(32);
+  LaneQueue<int> q({16, 16});
   std::atomic<std::int64_t> pushed{0};
   std::atomic<std::int64_t> rejected{0};
   std::atomic<std::int64_t> popped{0};
@@ -100,10 +156,11 @@ TEST(BoundedQueueTest, ConcurrentProducersConsumersConserveItems) {
   threads.reserve(kProducers + kConsumers);
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
+      const std::size_t lane = static_cast<std::size_t>(p % 2);
       for (int i = 0; i < kPerProducer; ++i) {
         const int value = p * kPerProducer + i;
         int item = value;
-        if (q.try_push(std::move(item)) == AdmitError::kNone) {
+        if (q.try_push(std::move(item), lane) == AdmitError::kNone) {
           pushed.fetch_add(1);
           sum.fetch_add(value);
         } else {
@@ -138,7 +195,9 @@ TEST(BoundedQueueTest, ConcurrentProducersConsumersConserveItems) {
             static_cast<std::int64_t>(kProducers) * kPerProducer);
   EXPECT_EQ(popped.load(), pushed.load());
   EXPECT_EQ(sum.load(), 0);
-  EXPECT_LE(q.peak_depth(), q.capacity());
+  EXPECT_LE(q.lane_peak_depth(kInteractive), q.capacity(kInteractive));
+  EXPECT_LE(q.lane_peak_depth(kBatch), q.capacity(kBatch));
+  EXPECT_LE(q.peak_depth(), q.total_capacity());
 }
 
 }  // namespace

@@ -378,7 +378,6 @@ TEST(EngineObsTest, WatchdogTimeoutDumpsTheFlightRecorder) {
   std::remove(dump_path.c_str());
   ServeConfig config = base_config();
   config.request_timeout = 50ms;
-  config.watchdog_period = 5ms;
   config.max_attempts = 1;
   config.obs.flight_dump_path = dump_path;
   config.before_forward_hook = [](const std::vector<std::int64_t>&,
@@ -404,23 +403,35 @@ TEST(EngineObsTest, WatchdogTimeoutDumpsTheFlightRecorder) {
   obs::FlightRecorder::instance().set_dump_path("");
 }
 
-TEST(EngineObsTest, StatsExposeSloReport) {
+TEST(EngineObsTest, StatsPollLeavesTheSloWindowToScrapes) {
   obs::Registry::instance().reset_values();
-  ServeEngine engine(base_config(), tiny_factory());
+  ServeConfig config = base_config();
+  config.obs.endpoint = true;
+  ServeEngine engine(config, tiny_factory());
   engine.start();
+  ASSERT_GT(engine.http_port(), 0);
+  constexpr int kRequests = 8;
   std::vector<ResponseFuture> futures;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < kRequests; ++i) {
     SubmitResult s = engine.submit(class_image(0));
     ASSERT_TRUE(s.accepted);
     futures.push_back(std::move(s.future));
   }
   for (auto& f : futures) f.get();
-  const ServeStats stats = engine.stats();
-  EXPECT_GT(stats.slo_p50_ms, 0.0);
-  EXPECT_LE(stats.slo_p50_ms, stats.slo_p99_ms);
+  // A stats() poller between two scrapes (bench drivers poll it) must not
+  // advance the rolling SLO window: the scrape still describes every
+  // request since the engine started.
+  EXPECT_EQ(engine.stats().completed_ok, kRequests);
+  const auto scrape = http_request(engine.http_port(), "/metrics");
+  ASSERT_TRUE(scrape.ok);
+  ASSERT_EQ(scrape.status, 200);
+  EXPECT_EQ(scrape_value(scrape.body, "serve_slo_window_requests"), kRequests);
+  const double p50 = scrape_value(scrape.body, "serve_slo_p50_ms");
+  EXPECT_GT(p50, 0.0);
+  EXPECT_LE(p50, scrape_value(scrape.body, "serve_slo_p95_ms"));
   // Tiny requests against a 250 ms objective: no violations, no burn.
-  EXPECT_NEAR(stats.slo_compliance, 1.0, 1e-9);
-  EXPECT_NEAR(stats.slo_burn, 0.0, 1e-9);
+  EXPECT_NEAR(scrape_value(scrape.body, "serve_slo_compliance"), 1.0, 1e-9);
+  EXPECT_NEAR(scrape_value(scrape.body, "serve_slo_burn"), 0.0, 1e-9);
   engine.stop();
 }
 

@@ -301,7 +301,6 @@ TEST(ServeEngineTest, BreakerTripsDegradesOpensProbesAndRecovers) {
 TEST(ServeEngineTest, WatchdogBoundsClientWaitWhenWorkerWedges) {
   ServeConfig config = base_config();
   config.request_timeout = 60ms;
-  config.watchdog_period = 5ms;
   config.max_attempts = 1;
   std::atomic<bool> wedge{true};
   config.before_forward_hook = [&wedge](const std::vector<std::int64_t>&,
@@ -320,8 +319,10 @@ TEST(ServeEngineTest, WatchdogBoundsClientWaitWhenWorkerWedges) {
           .count();
   EXPECT_EQ(response.status, ResponseStatus::kTimeout);
   EXPECT_EQ(response.reason, "request exceeded hard timeout");
-  // The client was released by the watchdog long before the worker's 300ms
-  // wedge resolved — the whole point of the first-wins response slot.
+  // The client was released by the watchdog (within one kWatchdogPeriod of
+  // the 60ms timeout) long before the worker's 300ms wedge resolved — the
+  // whole point of the first-wins response slot.
+  static_assert(kWatchdogPeriod < 100ms);
   EXPECT_LT(waited_ms, 250);
   engine.stop();
   EXPECT_EQ(engine.stats().timeouts, 1);

@@ -1,6 +1,7 @@
 // Concurrency stress suite for the shared-state hot spots: ThreadPool /
-// parallel_for, the obs metrics registry, and the robust:: primitives the
-// serving engine shares across workers (FaultInjector, HealthMonitor). Runs
+// parallel_for, the obs metrics registry, the robust:: primitives the
+// serving engine shares across workers (FaultInjector, HealthMonitor), and
+// the engine's admission queue (serve::LaneQueue). Runs
 // in every build, but its purpose is the -DULLSNN_SANITIZE=thread
 // configuration (`ctest -L tsan`), where ThreadSanitizer turns any data race
 // these hammers expose into a hard failure. Assertions here are deliberately
@@ -10,6 +11,7 @@
 
 #include <atomic>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -20,6 +22,7 @@
 #include "src/obs/slo.h"
 #include "src/robust/fault_injector.h"
 #include "src/robust/health.h"
+#include "src/serve/bounded_queue.h"
 #include "src/util/parallel.h"
 #include "tests/testutil/http_get.h"
 
@@ -330,6 +333,74 @@ TEST(TsanStressTest, HttpEndpointScrapeRacesShutdown) {
     for (auto& th : scrapers) th.join();
     EXPECT_GE(endpoint.requests_served(), ok_scrapes.load());
     endpoint.stop();  // idempotent; destructor will run it again too
+  }
+}
+
+TEST(TsanStressTest, LaneQueueCloseRacesAdmission) {
+  // Producers on both lanes and two consumers hammer the admission queue
+  // while a closer shuts it mid-stream, repeatedly. Items are heap-owned so
+  // TSan sees every hand-off between threads. Every admitted item must be
+  // popped exactly once; a refused item must stay in its producer's hands.
+  constexpr int kProducers = 4;  // two per lane
+  constexpr int kPerProducer = 2000;
+  constexpr int kItems = kProducers * kPerProducer;
+  for (int round = 0; round < 4; ++round) {
+    serve::LaneQueue<std::unique_ptr<int>> q({32, 32});
+    std::vector<std::atomic<int>> admitted(kItems);
+    std::vector<std::atomic<int>> popped(kItems);
+    std::atomic<std::int64_t> admissions{0};
+    std::atomic<bool> lost_refused_item{false};
+    std::vector<std::thread> threads;
+    for (int p = 0; p < kProducers; ++p) {
+      threads.emplace_back([&, p] {
+        const std::size_t lane = static_cast<std::size_t>(p % 2);
+        for (int i = 0; i < kPerProducer; ++i) {
+          const int value = p * kPerProducer + i;
+          auto item = std::make_unique<int>(value);
+          for (;;) {
+            const serve::AdmitError err = q.try_push(std::move(item), lane);
+            if (err == serve::AdmitError::kNone) break;
+            if (item == nullptr) lost_refused_item.store(true);
+            if (err == serve::AdmitError::kClosed) return;
+            std::this_thread::yield();  // kFull: retry until a slot frees
+          }
+          admitted[static_cast<std::size_t>(value)].fetch_add(1);
+          admissions.fetch_add(1);
+        }
+      });
+    }
+    const auto consume = [&] {
+      std::unique_ptr<int> out;
+      for (;;) {
+        if (q.pop(&out, std::chrono::milliseconds(2))) {
+          popped[static_cast<std::size_t>(*out)].fetch_add(1);
+          continue;
+        }
+        if (q.closed()) return;  // closed and drained (or a lull: swept below)
+      }
+    };
+    threads.emplace_back(consume);
+    threads.emplace_back(consume);
+    threads.emplace_back([&] {  // closer: shut the queue mid-admission
+      while (admissions.load() < kItems / 4) std::this_thread::yield();
+      q.close();
+    });
+    for (auto& th : threads) th.join();
+    std::unique_ptr<int> leftover;
+    while (q.try_pop(&leftover)) {
+      popped[static_cast<std::size_t>(*leftover)].fetch_add(1);
+    }
+    EXPECT_FALSE(lost_refused_item.load());
+    std::int64_t admitted_total = 0;
+    for (int v = 0; v < kItems; ++v) {
+      const auto i = static_cast<std::size_t>(v);
+      ASSERT_EQ(popped[i].load(), admitted[i].load()) << "item " << v;
+      admitted_total += admitted[i].load();
+    }
+    EXPECT_EQ(admitted_total, admissions.load());
+    EXPECT_GE(admitted_total, kItems / 4);
+    EXPECT_LE(q.lane_peak_depth(0), q.capacity(0));
+    EXPECT_LE(q.lane_peak_depth(1), q.capacity(1));
   }
 }
 
