@@ -76,7 +76,6 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "src/obs/metrics.h"
 #include "src/robust/fault_injector.h"
 #include "src/serve/engine.h"
 #include "src/serve/loadgen.h"
@@ -286,8 +285,7 @@ struct EngineHarness {
 
 /// One engine with the bench's shared configuration. `with_faults` installs
 /// the fault hook (calibration runs clean); `http_port` >= 0 serves the live
-/// endpoint. The metrics registry is process-wide, so it is zeroed first:
-/// the scrape then describes this engine alone.
+/// endpoint; its scrape describes this engine alone.
 EngineHarness make_engine(const Rig& rig, bool with_faults, int http_port) {
   const Options& opt = rig.opt;
   EngineHarness h;
@@ -335,7 +333,6 @@ EngineHarness make_engine(const Rig& rig, bool with_faults, int http_port) {
           }
         };
   }
-  obs::Registry::instance().reset_values();
   h.engine = std::make_unique<serve::ServeEngine>(config, rig.factory);
   return h;
 }

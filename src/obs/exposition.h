@@ -33,7 +33,8 @@ std::string prometheus_metric_name(const std::string& name);
 std::string escape_label_value(const std::string& value);
 
 /// Render one snapshot as exposition text. Deterministic: instruments appear
-/// in the snapshot's (sorted) order, histogram buckets ascending.
+/// in the snapshot's order (a registry snapshot's is sorted by name),
+/// counters first, then gauges, then histograms (buckets ascending).
 std::string render_prometheus(const MetricsSnapshot& snapshot,
                               const ExpositionLabels& labels = {});
 

@@ -6,7 +6,10 @@
 
 namespace ullsnn::obs {
 
-SloTracker::SloTracker(SloConfig config) : config_(std::move(config)) {
+SloTracker::SloTracker(SloConfig config, const Histogram& latency_ms)
+    : config_(config),
+      latency_ms_(latency_ms),
+      prev_counts_(latency_ms.bounds().size() + 1, 0) {
   if (config_.target <= 0.0 || config_.target >= 1.0) {
     throw std::invalid_argument("SloTracker: target must be in (0, 1)");
   }
@@ -16,20 +19,11 @@ SloTracker::SloTracker(SloConfig config) : config_(std::move(config)) {
 }
 
 SloTracker::Report SloTracker::update() {
-  // The histogram reference is stable for the process lifetime; taking it
-  // here (rather than caching) keeps the tracker usable before the serving
-  // engine has observed anything.
-  Histogram& hist = Registry::instance().histogram(config_.histogram);
-
   MutexLock lock(mu_);
-  const std::vector<std::int64_t> counts = hist.bucket_counts();
-  if (prev_counts_.size() != counts.size()) {
-    prev_counts_.assign(counts.size(), 0);
-  }
+  const std::vector<std::int64_t> counts = latency_ms_.bucket_counts();
   // Interval histogram = cumulative now - cumulative at the last update.
   HistogramSample interval;
-  interval.name = config_.histogram;
-  interval.bounds = hist.bounds();
+  interval.bounds = latency_ms_.bounds();
   interval.counts.resize(counts.size());
   std::int64_t window_count = 0;
   for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -37,6 +31,7 @@ SloTracker::Report SloTracker::update() {
     window_count += interval.counts[i];
   }
   interval.count = window_count;
+  prev_counts_ = counts;
 
   Report report;
   report.window_count = window_count;
@@ -51,25 +46,7 @@ SloTracker::Report SloTracker::update() {
     report.burn = (report.window_violations / static_cast<double>(window_count)) /
                   (1.0 - config_.target);
   }
-
-  prev_counts_ = counts;
-  prev_count_ = hist.count();
-  last_report_ = report;
-
-  Registry& registry = Registry::instance();
-  registry.gauge(config_.gauge_prefix + ".p50_ms").set(report.p50_ms);
-  registry.gauge(config_.gauge_prefix + ".p95_ms").set(report.p95_ms);
-  registry.gauge(config_.gauge_prefix + ".p99_ms").set(report.p99_ms);
-  registry.gauge(config_.gauge_prefix + ".compliance").set(report.compliance);
-  registry.gauge(config_.gauge_prefix + ".burn").set(report.burn);
-  registry.gauge(config_.gauge_prefix + ".window_requests")
-      .set(static_cast<double>(report.window_count));
   return report;
-}
-
-SloTracker::Report SloTracker::last() const {
-  MutexLock lock(mu_);
-  return last_report_;
 }
 
 }  // namespace ullsnn::obs

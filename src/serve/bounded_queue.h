@@ -63,6 +63,13 @@ class LaneQueue {
   /// kNone and takes ownership on success; on kFull/kClosed the item is left
   /// untouched in the caller's hands. Fullness is per-lane.
   AdmitError try_push(T&& item, std::size_t lane) {
+    return try_push(std::move(item), lane, [] {});
+  }
+
+  /// As above; on success `on_admit` runs under the queue lock, so whatever
+  /// it records happens-before any consumer can pop the item.
+  template <typename OnAdmit>
+  AdmitError try_push(T&& item, std::size_t lane, OnAdmit&& on_admit) {
     {
       MutexLock lock(mu_);
       if (closed_) return AdmitError::kClosed;
@@ -70,6 +77,7 @@ class LaneQueue {
         return AdmitError::kFull;
       }
       lanes_[lane].push_back(std::move(item));
+      on_admit();
       std::int64_t depth = 0;
       for (const auto& q : lanes_) depth += static_cast<std::int64_t>(q.size());
       if (depth > peak_depth_) peak_depth_ = depth;

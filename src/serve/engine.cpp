@@ -65,37 +65,6 @@ const char* to_string(ResponseStatus status) {
   return "unknown";
 }
 
-ServeEngine::ServeMetrics ServeEngine::ServeMetrics::bind() {
-  obs::Registry& r = obs::Registry::instance();
-  return ServeMetrics{
-      r.counter("serve.submitted"),
-      r.counter("serve.accepted"),
-      r.counter("serve.rejected"),
-      r.counter("serve.shed.admission"),
-      r.counter("serve.shed.deadline"),
-      r.counter("serve.shed.load"),
-      r.counter("serve.completed.ok"),
-      r.counter("serve.completed.degraded"),
-      r.counter("serve.completed.interactive"),
-      r.counter("serve.completed.batch"),
-      r.counter("serve.unavailable"),
-      r.counter("serve.timeouts"),
-      r.counter("serve.errors"),
-      r.counter("serve.retries"),
-      r.counter("serve.batches"),
-      r.counter("serve.swaps"),
-      r.gauge("serve.queue.depth"),
-      r.gauge("serve.queue.depth.interactive"),
-      r.gauge("serve.queue.depth.batch"),
-      r.histogram("serve.batch.size", batch_size_bounds()),
-      r.histogram("serve.latency.total_ms", serve_latency_bounds()),
-      r.histogram("serve.latency.queue_ms", serve_latency_bounds()),
-      r.histogram("serve.latency.batch_ms", serve_latency_bounds()),
-      r.histogram("serve.latency.infer_ms", serve_latency_bounds()),
-      r.histogram("serve.latency.step_ms", serve_latency_bounds()),
-  };
-}
-
 ServeEngine::ServeEngine(ServeConfig config, NetworkFactory factory)
     : config_(std::move(config)),
       factory_(std::move(factory)),
@@ -108,8 +77,13 @@ ServeEngine::ServeEngine(ServeConfig config, NetworkFactory factory)
       governor_(config_.governor),
       codel_(config_.codel),
       monitor_(monitor_config()),
-      metrics_(ServeMetrics::bind()),
-      slo_(config_.obs.slo) {
+      batch_size_(batch_size_bounds()),
+      latency_total_ms_(serve_latency_bounds()),
+      latency_queue_ms_(serve_latency_bounds()),
+      latency_batch_ms_(serve_latency_bounds()),
+      latency_infer_ms_(serve_latency_bounds()),
+      latency_step_ms_(serve_latency_bounds()),
+      slo_(config_.obs.slo, latency_total_ms_) {
   if (config_.queue_capacity <= 0) {
     throw std::invalid_argument("ServeEngine: queue_capacity must be positive");
   }
@@ -207,8 +181,7 @@ void ServeEngine::start() {
           net = pinned->make_network();
           worker_versions_[static_cast<std::size_t>(w)].store(
               version, std::memory_order_release);
-          stats_.swaps.fetch_add(1, std::memory_order_relaxed);
-          metrics_.swaps.add(1);
+          counter<&ServeStats::swaps>().add(1);
         }
         MicroBatch batch = batcher_.collect(queue_, &codel_);
         // One queue-pressure observation per collect (including empty polls,
@@ -235,11 +208,8 @@ void ServeEngine::start_endpoint() {
   http.port = config_.obs.port;
   endpoint_ = std::make_unique<obs::HttpEndpoint>(http);
   endpoint_->route("/metrics", [this](const std::string&, const std::string&) {
-    // Refreshing the SLO window on scrape makes each exposition describe the
-    // interval between two scrapes — the natural pull-model window.
-    slo_.update();
     obs::HttpResponse response;
-    response.body = obs::render_prometheus(obs::Registry::instance().snapshot());
+    response.body = render_metrics();
     return response;
   });
   endpoint_->route("/healthz", [this](const std::string&, const std::string&) {
@@ -335,11 +305,9 @@ void ServeEngine::stop() {
 
 SubmitResult ServeEngine::submit(Tensor image, const SubmitOptions& options) {
   SubmitResult result;
-  stats_.submitted.fetch_add(1, std::memory_order_relaxed);
-  metrics_.submitted.add(1);
+  counter<&ServeStats::submitted>().add(1);
   const auto reject = [&](const std::string& reason) {
-    stats_.rejected.fetch_add(1, std::memory_order_relaxed);
-    metrics_.rejected.add(1);
+    counter<&ServeStats::rejected>().add(1);
     result.accepted = false;
     result.response.status = ResponseStatus::kRejected;
     result.response.reason = reason;
@@ -368,8 +336,7 @@ SubmitResult ServeEngine::submit(Tensor image, const SubmitOptions& options) {
     // Admission-time shed: the work is already hopeless, so don't spend a
     // queue slot on it. Typed outcome, counted in its own ledger bucket
     // (submitted = accepted + rejected + shed_admission).
-    stats_.shed_admission.fetch_add(1, std::memory_order_relaxed);
-    metrics_.shed_admission.add(1);
+    counter<&ServeStats::shed_admission>().add(1);
     result.accepted = false;
     result.response.status = ResponseStatus::kExpired;
     result.response.reason = "deadline already expired at admission";
@@ -380,7 +347,11 @@ SubmitResult ServeEngine::submit(Tensor image, const SubmitOptions& options) {
       options.priority);
   PendingRequest pending{slot, std::move(image), now};
   const auto lane = static_cast<std::size_t>(options.priority);
-  const AdmitError err = queue_.try_push(std::move(pending), lane);
+  // Counted inside the queue's admission section, before any worker can pop
+  // the request, so no outcome is ever counted ahead of its acceptance.
+  const AdmitError err = queue_.try_push(std::move(pending), lane, [this] {
+    counter<&ServeStats::accepted>().add(1);
+  });
   if (err != AdmitError::kNone) {
     return reject(to_string(err));
   }
@@ -388,11 +359,6 @@ SubmitResult ServeEngine::submit(Tensor image, const SubmitOptions& options) {
     MutexLock lock(inflight_mu_);
     inflight_.push_back(slot);
   }
-  stats_.accepted.fetch_add(1, std::memory_order_relaxed);
-  metrics_.accepted.add(1);
-  metrics_.queue_depth.set(static_cast<double>(queue_.depth()));
-  metrics_.queue_depth_interactive.set(static_cast<double>(queue_.lane_depth(0)));
-  metrics_.queue_depth_batch.set(static_cast<double>(queue_.lane_depth(1)));
   result.accepted = true;
   result.future = ResponseFuture(slot);
   return result;
@@ -401,43 +367,34 @@ SubmitResult ServeEngine::submit(Tensor image, const SubmitOptions& options) {
 void ServeEngine::count_terminal(ResponseStatus status, Priority priority) {
   switch (status) {
     case ResponseStatus::kOk:
-      stats_.completed_ok.fetch_add(1, std::memory_order_relaxed);
-      metrics_.completed_ok.add(1);
+      counter<&ServeStats::completed_ok>().add(1);
       break;
     case ResponseStatus::kDegraded:
-      stats_.completed_degraded.fetch_add(1, std::memory_order_relaxed);
-      metrics_.completed_degraded.add(1);
+      counter<&ServeStats::completed_degraded>().add(1);
       break;
     case ResponseStatus::kExpired:
-      stats_.shed_deadline.fetch_add(1, std::memory_order_relaxed);
-      metrics_.shed_deadline.add(1);
+      counter<&ServeStats::shed_deadline>().add(1);
       break;
     case ResponseStatus::kShed:
-      stats_.shed_load.fetch_add(1, std::memory_order_relaxed);
-      metrics_.shed_load.add(1);
+      counter<&ServeStats::shed_load>().add(1);
       break;
     case ResponseStatus::kTimeout:
-      stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-      metrics_.timeouts.add(1);
+      counter<&ServeStats::timeouts>().add(1);
       break;
     case ResponseStatus::kUnavailable:
-      stats_.unavailable.fetch_add(1, std::memory_order_relaxed);
-      metrics_.unavailable.add(1);
+      counter<&ServeStats::unavailable>().add(1);
       break;
     case ResponseStatus::kError:
-      stats_.errors.fetch_add(1, std::memory_order_relaxed);
-      metrics_.errors.add(1);
+      counter<&ServeStats::errors>().add(1);
       break;
     case ResponseStatus::kRejected:
       break;  // counted at admission; rejected requests never reach a slot
   }
   if (is_success(status)) {
     if (priority == Priority::kInteractive) {
-      stats_.completed_interactive.fetch_add(1, std::memory_order_relaxed);
-      metrics_.completed_interactive.add(1);
+      counter<&ServeStats::completed_interactive>().add(1);
     } else {
-      stats_.completed_batch.fetch_add(1, std::memory_order_relaxed);
-      metrics_.completed_batch.add(1);
+      counter<&ServeStats::completed_batch>().add(1);
     }
   }
 }
@@ -474,7 +431,7 @@ bool ServeEngine::fulfill(const SlotPtr& slot, InferResponse&& response,
     count_terminal(status, slot->priority());
     if (on_win) on_win();
     obs::FlightRecorder::instance().record_request(record);
-    metrics_.latency_total_ms.observe(total_ms);
+    latency_total_ms_.observe(total_ms);
   });
   if (!won) return false;
   if (record.id % kTraceSampleEvery == 0 && obs::Tracer::instance().enabled()) {
@@ -557,9 +514,8 @@ bool ServeEngine::run_batch(snn::SnnNetwork& net, MicroBatch&& batch,
     batch.requests = std::move(alive);
   }
   if (batch.requests.empty()) return true;
-  stats_.batches.fetch_add(1, std::memory_order_relaxed);
-  metrics_.batches.add(1);
-  metrics_.batch_size.observe(static_cast<double>(batch.requests.size()));
+  counter<&ServeStats::batches>().add(1);
+  batch_size_.observe(static_cast<double>(batch.requests.size()));
 
   const TimeStepGovernor::Decision decision = governor_.admit();
   if (!decision.allow) {
@@ -608,8 +564,7 @@ bool ServeEngine::run_batch(snn::SnnNetwork& net, MicroBatch&& batch,
   for (std::int64_t attempt = 0; attempt < config_.max_attempts; ++attempt) {
     if (attempt > 0) {
       ++retries_used;
-      stats_.retries.fetch_add(1, std::memory_order_relaxed);
-      metrics_.retries.add(1);
+      counter<&ServeStats::retries>().add(1);
       if (config_.retry_backoff.count() > 0) {
         std::this_thread::sleep_for(config_.retry_backoff * (1LL << (attempt - 1)));
       }
@@ -659,7 +614,7 @@ bool ServeEngine::run_batch(snn::SnnNetwork& net, MicroBatch&& batch,
     }
   }
   governor_.record(success);
-  for (const double s : step_ms) metrics_.latency_step_ms.observe(s);
+  for (const double s : step_ms) latency_step_ms_.observe(s);
 
   if (!success) {
     for (auto& request : batch.requests) {
@@ -701,9 +656,9 @@ bool ServeEngine::run_batch(snn::SnnNetwork& net, MicroBatch&& batch,
       std::memcpy(r.logits.data(), logits.data() + i * classes,
                   static_cast<std::size_t>(classes) * sizeof(float));
       r.predicted = r.logits.argmax();
-      metrics_.latency_queue_ms.observe(r.queue_ms);
-      metrics_.latency_batch_ms.observe(r.batch_ms);
-      metrics_.latency_infer_ms.observe(r.infer_ms);
+      latency_queue_ms_.observe(r.queue_ms);
+      latency_batch_ms_.observe(r.batch_ms);
+      latency_infer_ms_.observe(r.infer_ms);
     }
     fulfill(request.slot, std::move(r), batch_size, worker_index);
   }
@@ -743,35 +698,72 @@ void ServeEngine::watchdog_loop() {
       }
       ++it;
     }
-    metrics_.queue_depth.set(static_cast<double>(queue_.depth()));
-    metrics_.queue_depth_interactive.set(static_cast<double>(queue_.lane_depth(0)));
-    metrics_.queue_depth_batch.set(static_cast<double>(queue_.lane_depth(1)));
   }
 }
 
 ServeStats ServeEngine::stats() const {
   ServeStats s;
-  s.submitted = stats_.submitted.load(std::memory_order_relaxed);
-  s.accepted = stats_.accepted.load(std::memory_order_relaxed);
-  s.rejected = stats_.rejected.load(std::memory_order_relaxed);
-  s.shed_admission = stats_.shed_admission.load(std::memory_order_relaxed);
-  s.shed_deadline = stats_.shed_deadline.load(std::memory_order_relaxed);
-  s.shed_load = stats_.shed_load.load(std::memory_order_relaxed);
-  s.completed_ok = stats_.completed_ok.load(std::memory_order_relaxed);
-  s.completed_degraded = stats_.completed_degraded.load(std::memory_order_relaxed);
-  s.completed_interactive =
-      stats_.completed_interactive.load(std::memory_order_relaxed);
-  s.completed_batch = stats_.completed_batch.load(std::memory_order_relaxed);
-  s.unavailable = stats_.unavailable.load(std::memory_order_relaxed);
-  s.timeouts = stats_.timeouts.load(std::memory_order_relaxed);
-  s.errors = stats_.errors.load(std::memory_order_relaxed);
-  s.retries = stats_.retries.load(std::memory_order_relaxed);
-  s.batches = stats_.batches.load(std::memory_order_relaxed);
-  s.swaps = stats_.swaps.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kCounterSeries.size(); ++i) {
+    s.*kCounterSeries[i].field = counters_[i].value();
+  }
   s.brownout_level = governor_.load_rung();
   s.brownout_escalations = governor_.load_escalations();
   s.brownout_recoveries = governor_.load_recoveries();
   return s;
+}
+
+std::string ServeEngine::render_metrics() {
+  // Each scrape advances the SLO window, so each exposition describes the
+  // interval between two scrapes — the natural pull-model window.
+  const obs::SloTracker::Report slo = slo_.update();
+  obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
+  // Histograms before counters: a racing scrape never sees more latency
+  // samples than accepted requests.
+  const auto histogram = [&snap](const char* name, const obs::Histogram& h) {
+    snap.histograms.push_back(
+        {name, h.bounds(), h.bucket_counts(), h.count(), h.sum()});
+  };
+  histogram("serve.batch.size", batch_size_);
+  histogram("serve.latency.total_ms", latency_total_ms_);
+  histogram("serve.latency.queue_ms", latency_queue_ms_);
+  histogram("serve.latency.batch_ms", latency_batch_ms_);
+  histogram("serve.latency.infer_ms", latency_infer_ms_);
+  histogram("serve.latency.step_ms", latency_step_ms_);
+  for (std::size_t i = 0; i < kCounterSeries.size(); ++i) {
+    snap.counters.push_back({kCounterSeries[i].name, counters_[i].value()});
+  }
+  const auto gauge = [&snap](const char* name, double value) {
+    snap.gauges.push_back({name, value});
+  };
+  gauge("serve.queue.depth", static_cast<double>(queue_.depth()));
+  gauge("serve.queue.depth.interactive", static_cast<double>(queue_.lane_depth(0)));
+  gauge("serve.queue.depth.batch", static_cast<double>(queue_.lane_depth(1)));
+
+  const auto rung_t = [this](std::int64_t rung) {
+    return static_cast<double>(config_.governor.ladder[static_cast<std::size_t>(rung)]);
+  };
+  const BreakerState state = governor_.state();
+  const std::int64_t load_rung = governor_.load_rung();
+  // Breaker state encoding: closed 0, degraded 1, open 2, half-open 3.
+  gauge("serve.breaker.state", static_cast<double>(static_cast<int>(state)));
+  gauge("serve.breaker.time_steps",
+        state == BreakerState::kOpen ? 0.0 : rung_t(governor_.health_rung()));
+  gauge("serve.overload.brownout_level", static_cast<double>(load_rung));
+  gauge("serve.overload.brownout_time_steps", rung_t(load_rung));
+  snap.counters.push_back({"serve.breaker.trips", governor_.trips()});
+  snap.counters.push_back({"serve.breaker.probes", governor_.probes()});
+  snap.counters.push_back({"serve.breaker.recoveries", governor_.recoveries()});
+  snap.counters.push_back(
+      {"serve.overload.brownout_escalations", governor_.load_escalations()});
+  snap.counters.push_back(
+      {"serve.overload.brownout_recoveries", governor_.load_recoveries()});
+  gauge("serve.slo.p50_ms", slo.p50_ms);
+  gauge("serve.slo.p95_ms", slo.p95_ms);
+  gauge("serve.slo.p99_ms", slo.p99_ms);
+  gauge("serve.slo.compliance", slo.compliance);
+  gauge("serve.slo.burn", slo.burn);
+  gauge("serve.slo.window_requests", static_cast<double>(slo.window_count));
+  return obs::render_prometheus(snap);
 }
 
 std::int64_t ServeEngine::workers_on_active() const {

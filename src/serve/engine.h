@@ -31,16 +31,19 @@
 // function of (weights, inputs, T) — see the SnnNetwork isolation contract.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/util/mutex.h"
 
+#include "src/obs/metrics.h"
 #include "src/obs/slo.h"
 #include "src/robust/health.h"
 #include "src/serve/batcher.h"
@@ -67,9 +70,9 @@ using NetworkFactory = std::function<std::unique_ptr<snn::SnnNetwork>()>;
 
 /// Live-operations layer: request-scoped tracing, flight recorder, the
 /// embedded /metrics endpoint, and SLO tracking. Stage timings, the flight
-/// recorder, and the serve.* registry instruments are always on (they are
-/// engine-owned and off the per-element hot path — the same contract as
-/// ServeStats); only the endpoint itself is opt-in.
+/// recorder, and the engine's ledger (ServeStats, the serve.* series) are
+/// always on (engine-owned and off the per-element hot path); only the
+/// endpoint itself is opt-in.
 struct ServeObsConfig {
   /// Serve /metrics (Prometheus exposition), /healthz, and /flight over an
   /// embedded blocking-socket HTTP endpoint while the engine runs.
@@ -81,14 +84,13 @@ struct ServeObsConfig {
   /// timeout, breaker open, registry auto-rollback, std::terminate). Empty
   /// disables auto-dumps; recording continues regardless.
   std::string flight_dump_path;
-  /// Latency objective + target behind the slo.* gauges and the error-budget
-  /// burn rate exported at /metrics.
+  /// Latency objective + target behind the serve.slo.* gauges and the
+  /// error-budget burn rate exported at /metrics.
   obs::SloConfig slo;
 };
 
-/// How often the watchdog sweeps in-flight requests for hard timeouts (and
-/// republishes the queue-depth gauges): a timed-out client is released at
-/// most this long after its request_timeout.
+/// How often the watchdog sweeps in-flight requests for hard timeouts: a
+/// timed-out client is released at most this long after its request_timeout.
 inline constexpr std::chrono::milliseconds kWatchdogPeriod{10};
 
 struct ServeConfig {
@@ -146,8 +148,9 @@ struct SubmitResult {
   InferResponse response;  // filled only when !accepted
 };
 
-/// Engine-owned counters, exact so tests can assert totals. Conservation ledger
-/// (exact, established by the slot's winning critical section):
+/// Engine-owned counters, exact so tests can assert totals; /metrics renders
+/// the same ledger. Conservation (exact, established by the slot's winning
+/// critical section):
 ///
 ///   submitted = accepted + rejected + shed_admission
 ///   accepted  = completed_ok + completed_degraded + shed_deadline +
@@ -263,6 +266,10 @@ class ServeEngine {
   /// Build + start the embedded endpoint (config.obs.endpoint).
   void start_endpoint();
   obs::HttpResponse handle_healthz() const;
+  /// The /metrics body: the process registry's instruments (kernels.*,
+  /// pipeline.*) plus this engine's ledger, governor, queue and SLO series.
+  /// Advances the SLO window.
+  std::string render_metrics();
 
   ServeConfig config_;
   NetworkFactory factory_;                              // null in registry mode
@@ -292,53 +299,60 @@ class ServeEngine {
   mutable Mutex inflight_mu_;
   std::list<SlotPtr> inflight_ GUARDED_BY(inflight_mu_);
 
-  // Engine-owned stats (see ServeStats). All relaxed: each counter is an
-  // independent monotonic tally; cross-counter conservation is established
-  // by the slot's winning critical section, not by atomic ordering.
-  struct AtomicStats {
-    std::atomic<std::int64_t> submitted{0}, accepted{0}, rejected{0},
-        shed_admission{0}, shed_deadline{0}, shed_load{0}, completed_ok{0},
-        completed_degraded{0}, completed_interactive{0}, completed_batch{0},
-        unavailable{0}, timeouts{0}, errors{0}, retries{0}, batches{0},
-        swaps{0};
+  // The engine's one ledger: stats() and /metrics both read it, and nothing
+  // else counts a serve outcome. The instruments are engine-owned, never
+  // registered with obs::Registry, so a scrape describes this engine alone.
+  // One row per ServeStats counter, in reverse causal order (worker-side
+  // tallies and terminal outcomes, then admission, then submitted): a scrape
+  // reads them in this order, and submit() counts accepted before a worker
+  // can pop the request, so a scrape that races live traffic still sees
+  // accepted + rejected <= submitted and completed <= accepted.
+  struct CounterSeries {
+    const char* name;
+    std::int64_t ServeStats::*field;
   };
-  mutable AtomicStats stats_;
-
-  // Live-operations layer. serve_metrics_ holds direct registry instrument
-  // references (bound once in the constructor), so every serve.* update is
-  // one relaxed atomic add with no name lookup, and the /metrics-vs-ServeStats
-  // conservation gate can compare the two exactly.
-  struct ServeMetrics {
-    obs::Counter& submitted;
-    obs::Counter& accepted;
-    obs::Counter& rejected;
-    obs::Counter& shed_admission;
-    obs::Counter& shed_deadline;
-    obs::Counter& shed_load;
-    obs::Counter& completed_ok;
-    obs::Counter& completed_degraded;
-    obs::Counter& completed_interactive;
-    obs::Counter& completed_batch;
-    obs::Counter& unavailable;
-    obs::Counter& timeouts;
-    obs::Counter& errors;
-    obs::Counter& retries;
-    obs::Counter& batches;
-    obs::Counter& swaps;
-    obs::Gauge& queue_depth;
-    obs::Gauge& queue_depth_interactive;
-    obs::Gauge& queue_depth_batch;
-    obs::Histogram& batch_size;
-    obs::Histogram& latency_total_ms;
-    obs::Histogram& latency_queue_ms;
-    obs::Histogram& latency_batch_ms;
-    obs::Histogram& latency_infer_ms;
-    obs::Histogram& latency_step_ms;
-    static ServeMetrics bind();
-  };
-  ServeMetrics metrics_;
-  // Advanced only by /metrics scrapes, so each exposition's slo.* gauges
-  // describe exactly the interval since the previous scrape.
+  static constexpr std::array<CounterSeries, 16> kCounterSeries = {{
+      {"serve.batches", &ServeStats::batches},
+      {"serve.retries", &ServeStats::retries},
+      {"serve.swaps", &ServeStats::swaps},
+      {"serve.completed.ok", &ServeStats::completed_ok},
+      {"serve.completed.degraded", &ServeStats::completed_degraded},
+      {"serve.completed.interactive", &ServeStats::completed_interactive},
+      {"serve.completed.batch", &ServeStats::completed_batch},
+      {"serve.shed.deadline", &ServeStats::shed_deadline},
+      {"serve.shed.load", &ServeStats::shed_load},
+      {"serve.unavailable", &ServeStats::unavailable},
+      {"serve.timeouts", &ServeStats::timeouts},
+      {"serve.errors", &ServeStats::errors},
+      {"serve.accepted", &ServeStats::accepted},
+      {"serve.rejected", &ServeStats::rejected},
+      {"serve.shed.admission", &ServeStats::shed_admission},
+      {"serve.submitted", &ServeStats::submitted},
+  }};
+  static constexpr std::size_t counter_slot(std::int64_t ServeStats::*field) {
+    std::size_t slot = 0;
+    while (slot < kCounterSeries.size() && kCounterSeries[slot].field != field) {
+      ++slot;
+    }
+    return slot;
+  }
+  /// The ledger counter behind one ServeStats field.
+  template <std::int64_t ServeStats::*kField>
+  obs::Counter& counter() {
+    static_assert(counter_slot(kField) < kCounterSeries.size(),
+                  "ServeStats field has no row in kCounterSeries");
+    return counters_[counter_slot(kField)];
+  }
+  std::array<obs::Counter, kCounterSeries.size()> counters_;
+  obs::Histogram batch_size_;
+  obs::Histogram latency_total_ms_;
+  obs::Histogram latency_queue_ms_;
+  obs::Histogram latency_batch_ms_;
+  obs::Histogram latency_infer_ms_;
+  obs::Histogram latency_step_ms_;
+  // Windows over latency_total_ms_. Advanced only by /metrics scrapes, so
+  // each exposition's serve.slo.* gauges describe exactly the interval since
+  // the previous scrape.
   obs::SloTracker slo_;
   std::unique_ptr<obs::HttpEndpoint> endpoint_;
 };

@@ -7,7 +7,6 @@
 
 #include "src/obs/flight_recorder.h"
 #include "src/obs/log.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace ullsnn::serve {
@@ -26,23 +25,8 @@ const char* to_string(Signal signal) {
   return signal == Signal::kHealth ? "health" : "load";
 }
 
-TimeStepGovernor::Instruments TimeStepGovernor::Instruments::bind() {
-  obs::Registry& r = obs::Registry::instance();
-  return Instruments{
-      r.gauge("serve.breaker.state"),
-      r.gauge("serve.breaker.time_steps"),
-      r.counter("serve.breaker.trips"),
-      r.counter("serve.breaker.probes"),
-      r.counter("serve.breaker.recoveries"),
-      r.gauge("serve.overload.brownout_level"),
-      r.gauge("serve.overload.brownout_time_steps"),
-      r.counter("serve.overload.brownout_escalations"),
-      r.counter("serve.overload.brownout_recoveries"),
-  };
-}
-
 TimeStepGovernor::TimeStepGovernor(GovernorConfig config)
-    : config_(std::move(config)), metrics_(Instruments::bind()) {
+    : config_(std::move(config)) {
   if (config_.ladder.empty()) {
     throw std::invalid_argument("TimeStepGovernor: ladder must be non-empty");
   }
@@ -58,11 +42,6 @@ TimeStepGovernor::TimeStepGovernor(GovernorConfig config)
       config_.open_cooldown <= 0) {
     throw std::invalid_argument("TimeStepGovernor: thresholds must be positive");
   }
-  const auto full_t = static_cast<double>(config_.ladder.front());
-  metrics_.breaker_state.set(0.0);
-  metrics_.breaker_time_steps.set(full_t);
-  metrics_.brownout_level.set(0.0);
-  metrics_.brownout_time_steps.set(full_t);
 }
 
 std::int64_t TimeStepGovernor::granted_t_locked() const {
@@ -73,16 +52,6 @@ std::int64_t TimeStepGovernor::granted_t_locked() const {
 void TimeStepGovernor::note(Signal signal, const char* cause) {
   const std::int64_t t = granted_t_locked();
   history_.push_back({sequence_, signal, state_, t, cause});
-  const auto rung_t = [this](std::int64_t rung) {
-    return static_cast<double>(config_.ladder[static_cast<std::size_t>(rung)]);
-  };
-  // Numeric state encoding for the exported gauge: closed 0, degraded 1,
-  // open 2, half-open 3.
-  metrics_.breaker_state.set(static_cast<double>(static_cast<int>(state_)));
-  metrics_.breaker_time_steps.set(state_ == BreakerState::kOpen ? 0.0
-                                                                : rung_t(health_rung_));
-  metrics_.brownout_level.set(static_cast<double>(load_rung_));
-  metrics_.brownout_time_steps.set(rung_t(load_rung_));
   ULLSNN_TRACE_INSTANT("serve.governor.transition");
 
   const bool health = signal == Signal::kHealth;
@@ -126,7 +95,7 @@ TimeStepGovernor::Decision TimeStepGovernor::admit() {
       break;
   }
   probe_in_flight_ = true;
-  metrics_.breaker_probes.add(1);
+  ++probes_;
   return {true, granted_t_locked(), true};
 }
 
@@ -155,7 +124,6 @@ void TimeStepGovernor::record(bool healthy) {
       --health_rung_;
       if (health_rung_ == 0) {
         ++recoveries_;
-        metrics_.breaker_recoveries.add(1);
         state_ = BreakerState::kClosed;
         note(Signal::kHealth, "recovered to full T");
       } else {
@@ -174,7 +142,6 @@ void TimeStepGovernor::record(bool healthy) {
     note(Signal::kHealth, "descended one rung");
   } else {
     ++trips_;
-    metrics_.breaker_trips.add(1);
     cooldown_remaining_ = config_.open_cooldown;
     state_ = BreakerState::kOpen;
     note(Signal::kHealth, "last rung exhausted");
@@ -192,7 +159,6 @@ std::int64_t TimeStepGovernor::observe_queue(double depth_fraction) {
       ++load_rung_;
       deepest_load_rung_ = std::max(deepest_load_rung_, load_rung_);
       ++load_escalations_;
-      metrics_.brownout_escalations.add(1);
       note(Signal::kLoad, "sustained queue pressure");
     }
   } else if (depth_fraction <= kLowWatermark) {
@@ -201,7 +167,6 @@ std::int64_t TimeStepGovernor::observe_queue(double depth_fraction) {
       below_streak_ = 0;
       --load_rung_;
       ++load_recoveries_;
-      metrics_.brownout_recoveries.add(1);
       note(Signal::kLoad, "queue pressure relieved");
     }
   } else {
@@ -241,6 +206,11 @@ std::vector<TimeStepGovernor::Transition> TimeStepGovernor::history() const {
 std::int64_t TimeStepGovernor::trips() const {
   MutexLock lock(mu_);
   return trips_;
+}
+
+std::int64_t TimeStepGovernor::probes() const {
+  MutexLock lock(mu_);
+  return probes_;
 }
 
 std::int64_t TimeStepGovernor::recoveries() const {

@@ -29,6 +29,10 @@
 // chaos tests assert the exact healthy -> degraded -> open -> half-open ->
 // healthy path. Thread-safe: all state sits behind one mutex (decisions are
 // per batch, far off the per-element hot path).
+//
+// The governor publishes nothing itself: the serving engine renders its
+// serve.breaker.* and serve.overload.brownout_* series from the accessors
+// below when /metrics is scraped, so each engine exports its own governor.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +40,6 @@
 #include <vector>
 
 #include "src/util/mutex.h"
-
-namespace ullsnn::obs {
-class Counter;
-class Gauge;
-}  // namespace ullsnn::obs
 
 namespace ullsnn::serve {
 
@@ -124,6 +123,7 @@ class TimeStepGovernor {
   std::vector<Transition> history() const;
 
   std::int64_t trips() const;       // times the circuit opened
+  std::int64_t probes() const;      // half-open probe batches admitted
   std::int64_t recoveries() const;  // times health returned to the top rung
   std::int64_t load_escalations() const;  // load rungs descended
   std::int64_t load_recoveries() const;   // load rungs climbed back
@@ -132,7 +132,7 @@ class TimeStepGovernor {
 
  private:
   std::int64_t granted_t_locked() const REQUIRES(mu_);
-  /// Record a transition and publish every governor gauge.
+  /// Record a transition (history, flight recorder, log).
   void note(Signal signal, const char* cause) REQUIRES(mu_);
 
   const GovernorConfig config_;
@@ -147,6 +147,7 @@ class TimeStepGovernor {
   std::int64_t cooldown_remaining_ GUARDED_BY(mu_) = 0;
   bool probe_in_flight_ GUARDED_BY(mu_) = false;
   std::int64_t trips_ GUARDED_BY(mu_) = 0;
+  std::int64_t probes_ GUARDED_BY(mu_) = 0;
   std::int64_t recoveries_ GUARDED_BY(mu_) = 0;
   // Load signal.
   std::int64_t load_rung_ GUARDED_BY(mu_) = 0;
@@ -155,23 +156,6 @@ class TimeStepGovernor {
   std::int64_t below_streak_ GUARDED_BY(mu_) = 0;
   std::int64_t load_escalations_ GUARDED_BY(mu_) = 0;
   std::int64_t load_recoveries_ GUARDED_BY(mu_) = 0;
-
-  // serve.breaker.* and serve.overload.brownout_* instruments: always-on
-  // direct references (same contract as ServeEngine::ServeMetrics), so both
-  // families are exact in every build configuration.
-  struct Instruments {
-    obs::Gauge& breaker_state;
-    obs::Gauge& breaker_time_steps;
-    obs::Counter& breaker_trips;
-    obs::Counter& breaker_probes;
-    obs::Counter& breaker_recoveries;
-    obs::Gauge& brownout_level;
-    obs::Gauge& brownout_time_steps;
-    obs::Counter& brownout_escalations;
-    obs::Counter& brownout_recoveries;
-    static Instruments bind();
-  };
-  Instruments metrics_;
 };
 
 }  // namespace ullsnn::serve

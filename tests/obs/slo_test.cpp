@@ -3,43 +3,31 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
-#include <string>
 
 #include "src/obs/metrics.h"
 
 namespace ullsnn::obs {
 namespace {
 
-// The tracker reads a process-global registry histogram, so every test uses
-// its own metric names (registrations are never removed).
-SloConfig test_config(const std::string& tag, double objective_ms = 100.0,
-                      double target = 0.9) {
+SloConfig test_config(double objective_ms = 100.0, double target = 0.9) {
   SloConfig c;
-  c.histogram = "slo_test." + tag + ".latency_ms";
-  c.gauge_prefix = "slo_test." + tag;
   c.objective_ms = objective_ms;
   c.target = target;
   return c;
 }
 
-Histogram& test_histogram(const SloConfig& c) {
-  return Registry::instance().histogram(c.histogram,
-                                        {1.0, 10.0, 100.0, 1000.0});
-}
+Histogram test_histogram() { return Histogram({1.0, 10.0, 100.0, 1000.0}); }
 
 TEST(SloTrackerTest, ValidatesConfig) {
-  EXPECT_THROW(SloTracker(test_config("bad_t0", 100.0, 0.0)),
-               std::invalid_argument);
-  EXPECT_THROW(SloTracker(test_config("bad_t1", 100.0, 1.0)),
-               std::invalid_argument);
-  EXPECT_THROW(SloTracker(test_config("bad_obj", 0.0, 0.9)),
-               std::invalid_argument);
+  const Histogram hist = test_histogram();
+  EXPECT_THROW(SloTracker(test_config(100.0, 0.0), hist), std::invalid_argument);
+  EXPECT_THROW(SloTracker(test_config(100.0, 1.0), hist), std::invalid_argument);
+  EXPECT_THROW(SloTracker(test_config(0.0, 0.9), hist), std::invalid_argument);
 }
 
 TEST(SloTrackerTest, IdleWindowReportsFullCompliance) {
-  const SloConfig config = test_config("idle");
-  test_histogram(config);
-  SloTracker tracker(config);
+  const Histogram hist = test_histogram();
+  SloTracker tracker(test_config(), hist);
   const SloTracker::Report report = tracker.update();
   EXPECT_EQ(report.window_count, 0);
   EXPECT_EQ(report.compliance, 1.0);
@@ -47,9 +35,8 @@ TEST(SloTrackerTest, IdleWindowReportsFullCompliance) {
 }
 
 TEST(SloTrackerTest, PercentilesWithinBucketOfTruth) {
-  const SloConfig config = test_config("pct");
-  Histogram& hist = test_histogram(config);
-  SloTracker tracker(config);
+  Histogram hist = test_histogram();
+  SloTracker tracker(test_config(), hist);
   // 100 samples at ~5 ms: every percentile lands in the (1, 10] bucket.
   for (int i = 0; i < 100; ++i) hist.observe(5.0);
   const SloTracker::Report report = tracker.update();
@@ -65,9 +52,8 @@ TEST(SloTrackerTest, PercentilesWithinBucketOfTruth) {
 TEST(SloTrackerTest, BurnRateMatchesViolationFraction) {
   // objective 100 ms, target 0.9 -> 10% error budget. 20 of 100 samples over
   // the objective burns the budget at 2x.
-  const SloConfig config = test_config("burn");
-  Histogram& hist = test_histogram(config);
-  SloTracker tracker(config);
+  Histogram hist = test_histogram();
+  SloTracker tracker(test_config(), hist);
   for (int i = 0; i < 80; ++i) hist.observe(5.0);
   for (int i = 0; i < 20; ++i) hist.observe(5000.0);  // overflow bucket
   const SloTracker::Report report = tracker.update();
@@ -78,9 +64,8 @@ TEST(SloTrackerTest, BurnRateMatchesViolationFraction) {
 }
 
 TEST(SloTrackerTest, WindowsAreDeltasBetweenUpdates) {
-  const SloConfig config = test_config("delta");
-  Histogram& hist = test_histogram(config);
-  SloTracker tracker(config);
+  Histogram hist = test_histogram();
+  SloTracker tracker(test_config(), hist);
   for (int i = 0; i < 50; ++i) hist.observe(500.0);  // all violations
   EXPECT_NEAR(tracker.update().burn, 10.0, 1e-9);    // 100% / 10% budget
   // Next interval is healthy; the old violations must not leak into it.
@@ -90,30 +75,6 @@ TEST(SloTrackerTest, WindowsAreDeltasBetweenUpdates) {
   EXPECT_NEAR(second.window_violations, 0.0, 1e-9);
   EXPECT_NEAR(second.compliance, 1.0, 1e-9);
   EXPECT_NEAR(second.burn, 0.0, 1e-9);
-}
-
-TEST(SloTrackerTest, LastReturnsMostRecentReportWithoutAdvancing) {
-  const SloConfig config = test_config("last");
-  Histogram& hist = test_histogram(config);
-  SloTracker tracker(config);
-  for (int i = 0; i < 10; ++i) hist.observe(5.0);
-  const SloTracker::Report report = tracker.update();
-  EXPECT_EQ(tracker.last().window_count, report.window_count);
-  EXPECT_EQ(tracker.last().window_count, 10);  // last() does not consume
-}
-
-TEST(SloTrackerTest, PublishesGaugesIntoTheRegistry) {
-  const SloConfig config = test_config("gauges", 100.0, 0.9);
-  Histogram& hist = test_histogram(config);
-  SloTracker tracker(config);
-  for (int i = 0; i < 10; ++i) hist.observe(5000.0);
-  tracker.update();
-  Registry& registry = Registry::instance();
-  EXPECT_NEAR(registry.gauge(config.gauge_prefix + ".burn").value(), 10.0, 1e-9);
-  EXPECT_NEAR(registry.gauge(config.gauge_prefix + ".compliance").value(), 0.0,
-              1e-9);
-  EXPECT_EQ(registry.gauge(config.gauge_prefix + ".window_requests").value(),
-            10.0);
 }
 
 }  // namespace

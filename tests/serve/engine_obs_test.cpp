@@ -1,20 +1,21 @@
 // Live-operations integration tests: request-scoped stage timings on the
 // response, the embedded /metrics//healthz//flight endpoint, conservation
-// between the exported serve.* series and ServeStats, and the flight
-// recorder's anomaly dumps — all driven through a real running engine.
+// between the exported serve.* series and ServeStats (per engine: no test
+// resets any process-wide state first), and the flight recorder's anomaly
+// dumps — all driven through a real running engine.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/obs/flight_recorder.h"
-#include "src/obs/metrics.h"
 #include "src/serve/engine.h"
 #include "tests/testutil/http_get.h"
 
@@ -149,7 +150,6 @@ TEST(EngineObsTest, FlightRecorderCapturesFulfilledRequests) {
 }
 
 TEST(EngineObsTest, MetricsEndpointConservesCountsAgainstServeStats) {
-  obs::Registry::instance().reset_values();
   ServeConfig config = base_config();
   config.obs.endpoint = true;  // ephemeral loopback port
   ServeEngine engine(config, tiny_factory());
@@ -203,7 +203,6 @@ TEST(EngineObsTest, MetricsConserveUnderInjectedFaults) {
   // of ids that fail every attempt (their batch ends in kError) and one
   // malformed submission (rejected at admission): every counter the retry
   // and error paths touch moves, and the scrape must still equal ServeStats.
-  obs::Registry::instance().reset_values();
   std::atomic<std::int64_t> faults_fired{0};
   ServeConfig config = base_config();
   config.obs.endpoint = true;
@@ -404,7 +403,6 @@ TEST(EngineObsTest, WatchdogTimeoutDumpsTheFlightRecorder) {
 }
 
 TEST(EngineObsTest, StatsPollLeavesTheSloWindowToScrapes) {
-  obs::Registry::instance().reset_values();
   ServeConfig config = base_config();
   config.obs.endpoint = true;
   ServeEngine engine(config, tiny_factory());
@@ -433,6 +431,65 @@ TEST(EngineObsTest, StatsPollLeavesTheSloWindowToScrapes) {
   EXPECT_NEAR(scrape_value(scrape.body, "serve_slo_compliance"), 1.0, 1e-9);
   EXPECT_NEAR(scrape_value(scrape.body, "serve_slo_burn"), 0.0, 1e-9);
   engine.stop();
+}
+
+TEST(EngineObsTest, TwoEnginesExportOnlyTheirOwnSeries) {
+  // Two engines in one process, no registry reset: each scrape must describe
+  // its own engine alone. Engine A's logits are all NaN, so every batch is
+  // unhealthy and its circuit opens; engine B serves healthy traffic and its
+  // breaker must stay closed in its own scrape.
+  ServeConfig config_a = base_config();
+  config_a.obs.endpoint = true;
+  config_a.max_attempts = 1;
+  config_a.governor.ladder = {3, 2, 1};
+  config_a.governor.failure_threshold = 1;
+  config_a.governor.open_cooldown = 1000;  // stay open for the whole test
+  config_a.after_forward_hook = [](const std::vector<std::int64_t>&,
+                                   Tensor& logits) {
+    for (std::int64_t i = 0; i < logits.numel(); ++i) {
+      logits[i] = std::numeric_limits<float>::quiet_NaN();
+    }
+  };
+  ServeConfig config_b = base_config();
+  config_b.obs.endpoint = true;
+  ServeEngine a(config_a, tiny_factory());
+  ServeEngine b(config_b, tiny_factory());
+  a.start();
+  b.start();
+  ASSERT_GT(a.http_port(), 0);
+  ASSERT_GT(b.http_port(), 0);
+
+  std::int64_t requests_a = 0;
+  while (requests_a < 10 && a.governor().state() != BreakerState::kOpen) {
+    SubmitResult s = a.submit(class_image(0));
+    ASSERT_TRUE(s.accepted);
+    ++requests_a;
+    EXPECT_FALSE(is_success(s.future.get().status));
+  }
+  ASSERT_EQ(a.governor().state(), BreakerState::kOpen);
+  constexpr std::int64_t kRequestsB = 5;
+  for (std::int64_t i = 0; i < kRequestsB; ++i) {
+    SubmitResult s = b.submit(class_image(i % 2));
+    ASSERT_TRUE(s.accepted);
+    EXPECT_EQ(s.future.get().status, ResponseStatus::kOk);
+  }
+
+  const auto expect_own_series = [](ServeEngine& engine, std::int64_t requests,
+                                    double breaker_state) {
+    const auto scrape = http_request(engine.http_port(), "/metrics");
+    ASSERT_TRUE(scrape.ok);
+    ASSERT_EQ(scrape.status, 200);
+    const ServeStats stats = engine.stats();
+    EXPECT_EQ(stats.submitted, requests);
+    EXPECT_EQ(scrape_value(scrape.body, "serve_submitted"), stats.submitted);
+    EXPECT_EQ(scrape_value(scrape.body, "serve_latency_total_ms_count"), requests);
+    EXPECT_EQ(scrape_value(scrape.body, "serve_slo_window_requests"), requests);
+    EXPECT_EQ(scrape_value(scrape.body, "serve_breaker_state"), breaker_state);
+  };
+  expect_own_series(a, requests_a, 2.0);  // open
+  expect_own_series(b, kRequestsB, 0.0);  // closed
+  a.stop();
+  b.stop();
 }
 
 TEST(EngineObsTest, EndpointDisabledByDefault) {

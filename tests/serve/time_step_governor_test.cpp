@@ -149,6 +149,7 @@ TEST(CircuitBreakerTest, FullTripAndRecoveryPath) {
   EXPECT_EQ(governor.state(), BreakerState::kClosed);
   EXPECT_EQ(governor.time_steps(), 3);
   EXPECT_EQ(governor.trips(), 1);
+  EXPECT_EQ(governor.probes(), 1);
   EXPECT_EQ(governor.recoveries(), 1);
 
   // The transition history captures the whole arc in order, every entry
