@@ -231,7 +231,7 @@ void BM_MaxPool(benchmark::State& state) {
   uniform_fill(input, -1.0F, 1.0F, rng);
   std::vector<std::int64_t> argmax;
   for (auto _ : state) {
-    maxpool2d_forward(input, output, argmax, spec);
+    maxpool2d_forward(input, output, spec, &argmax);
     benchmark::DoNotOptimize(output.data());
   }
   state.SetItemsProcessed(state.iterations() * input.numel());

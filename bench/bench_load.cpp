@@ -45,12 +45,14 @@
 // >= 99% of interactive requests fulfilled.
 //
 // Overhead mode (--overhead) replaces calibration and sweep with the
-// observability cost gate: four --seconds legs of paced waves at a 50% duty
-// cycle, endpoint off/on/on/off, the "on" legs with a 20 Hz /metrics
-// scraper. Each mode scores its best leg; the run fails unless
-// p99_on <= 1.05 * p99_off + 0.5 ms.
+// observability cost gate: one engine with a live endpoint runs paced waves
+// at a 50% duty cycle in pairs, a plain off-wave and an on-wave that holds
+// one /metrics scrape (about 20 Hz), in alternating order, for --seconds
+// per mode. p99_off is the off-wave p99; p99_on_paired scales it by the
+// median over pairs of the on-wave p99 / off-wave p99 ratio. The run fails
+// unless p99_on_paired <= 1.05 * p99_off + 0.5 ms.
 //
-// Options: --seconds N (per sweep point or leg), --workers N,
+// Options: --seconds N (per sweep point, or per overhead mode), --workers N,
 //          --rel "0.5,1,2", --base-qps Q (skip calibration; Q becomes the
 //          knee), --faults R, --stall-rate R --stall-ms M,
 //          --slow-replicas R --slow-factor F,
@@ -500,135 +502,129 @@ double percentile(std::vector<double>& sorted, double p) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-struct OverheadLeg {
-  double p50 = 0.0;
-  double p99 = 0.0;
-  std::int64_t scrapes = 0;
-};
-
-/// One leg of the overhead gate, on a fault-free engine. The driver submits
-/// one micro-batch-sized wave, drains it, then sleeps as long as the wave
-/// took (50% duty cycle). That leaves idle headroom on every machine,
-/// single-core CI runners included, so a p99 delta reflects the scrape path
-/// interrupting real work, not two saturated threads trading a starved
-/// core. (An open-loop Poisson leg at 0.5x knee has a best-leg p99 that
-/// moves by more than the 5% gate between identical legs.) The first waves
-/// are warmup and not measured.
-OverheadLeg run_overhead_leg(const Rig& rig, bool endpoint, double seconds) {
-  EngineHarness h = make_engine(rig, /*with_faults=*/false,
-                                endpoint ? std::max(rig.opt.http_port, 0) : -1);
-  serve::ServeEngine& engine = *h.engine;
-  engine.start();
-
-  // 20 Hz background /metrics scraper, far beyond any real Prometheus
-  // interval (>= 1 s): a worst case.
-  std::atomic<bool> stop_scraper{false};
-  std::atomic<std::int64_t> scrapes{0};
-  std::thread scraper;
-  if (endpoint) {
-    scraper = std::thread([&stop_scraper, &scrapes, port = engine.http_port()] {
-      while (!stop_scraper.load(std::memory_order_acquire)) {
-        if (testutil::http_request(port, "/metrics").ok) {
-          scrapes.fetch_add(1, std::memory_order_relaxed);
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-    });
-  }
-
-  std::vector<double> latencies;
-  Timer wall;
-  std::size_t cursor = 0;
-  constexpr std::int64_t kWave = 8;  // one micro-batch per wave
-  constexpr std::int64_t kWarmupWaves = 2;
-  for (std::int64_t wave = 0; wall.seconds() < seconds; ++wave) {
-    Timer wave_timer;
-    std::vector<serve::ResponseFuture> futures;
-    futures.reserve(kWave);
-    for (std::int64_t k = 0; k < kWave; ++k) {
-      Tensor image = rig.images[cursor++ % rig.images.size()];
-      serve::SubmitResult submitted = engine.submit(std::move(image));
-      if (submitted.accepted) futures.push_back(std::move(submitted.future));
-    }
-    for (const serve::ResponseFuture& future : futures) {
-      const serve::InferResponse response = future.get();
-      if (serve::is_success(response.status) && wave >= kWarmupWaves) {
-        latencies.push_back(response.total_ms);
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::duration<double>(
-        std::min(wave_timer.seconds(), 1.0)));
-  }
-  if (scraper.joinable()) {
-    stop_scraper.store(true, std::memory_order_release);
-    scraper.join();
-  }
-  engine.stop();
-  std::sort(latencies.begin(), latencies.end());
-  return {percentile(latencies, 0.50), percentile(latencies, 0.99),
-          scrapes.load()};
-}
-
 struct OverheadResult {
   double p50_off = 0.0, p50_on = 0.0;
-  double p99_off = 0.0, p99_on = 0.0;
-  double p99_ratio = 0.0;
+  double p99_off = 0.0, p99_on = 0.0;  // pooled per mode, both measured
+  double p99_ratio = 0.0;      // median over pairs of on/off wave p99
+  double p99_on_paired = 0.0;  // p99_off * p99_ratio: what the gate bounds
+  std::int64_t pairs = 0;
   std::int64_t scrapes = 0;
-  double seconds_per_leg = 0.0;
+  double scrape_hz = 0.0;
+  double seconds = 0.0;
   bool passed = false;
 };
 
-/// The observability cost gate: endpoint off vs on plus the scraper. Legs
-/// run interleaved (off, on, on, off) so both modes pay the same machine
-/// drift, and each mode scores its best leg. The stage-timing record and
-/// serve.* instruments are on in both modes (engine contract); what this
-/// prices is the endpoint and the scrape path.
+/// The observability cost gate, paired inside one fault-free engine with a
+/// live endpoint. The driver runs waves in pairs, one plain and one that
+/// holds exactly one /metrics scrape, in alternating order (off/on, on/off,
+/// ...). A wave submits one micro-batch, drains it, then sleeps as long as
+/// it took (50% duty cycle), which leaves idle headroom on every machine,
+/// single-core CI runners included. An on-wave starts its scrape on a
+/// thread just before its first submit and joins it after the drain, so
+/// the scrape overlaps the wave's requests and every on-wave prices one
+/// scrape; at that pace the scrape rate comes out near 20 Hz, far beyond
+/// any real Prometheus interval (>= 1 s).
+///
+/// Scoring is paired: each pair gives the ratio of its on-wave's p99 to its
+/// off-wave's p99 (a wave's p99 is its slowest request), and the median of
+/// those ratios scales the off-wave p99 into p99_on_paired, which the gate
+/// bounds. The two waves of a pair run milliseconds apart, so machine drift
+/// cancels within the pair, and the median ignores the rare stall that hits
+/// one wave. Pooled per-mode p99s do neither: a handful of stalled waves
+/// sets them, and they moved by more than the 5% the gate bounds between
+/// identical runs; they are reported, not gated. The stage timing record
+/// and serve.* instruments are on in both modes (engine contract), and the
+/// endpoint thread is up in both; what this prices is the scrape path.
+/// Both modes run `seconds` of waves; the first two pairs are warmup.
 OverheadResult run_overhead(const Rig& rig, double seconds) {
-  std::printf("\n== Observability overhead: endpoint off/on/on/off, "
-              "4 legs x %.1fs ==\n",
+  std::printf("\n== Observability overhead: paired waves, one /metrics scrape per "
+              "on-wave, %.1fs per mode ==\n",
               seconds);
+  EngineHarness h =
+      make_engine(rig, /*with_faults=*/false, std::max(rig.opt.http_port, 0));
+  serve::ServeEngine& engine = *h.engine;
+  engine.start();
+  const int port = engine.http_port();
+
   OverheadResult result;
-  result.seconds_per_leg = seconds;
-  OverheadLeg best_off, best_on;
-  bool first_off = true, first_on = true;
-  for (const bool endpoint : {false, true, true, false}) {
-    const OverheadLeg leg = run_overhead_leg(rig, endpoint, seconds);
-    result.scrapes += leg.scrapes;
-    OverheadLeg& best = endpoint ? best_on : best_off;
-    bool& first = endpoint ? first_on : first_off;
-    if (first || leg.p99 < best.p99) {
-      best = leg;
-      first = false;
+  result.seconds = seconds;
+  std::vector<double> latencies[2];  // [0] off-waves, [1] on-waves
+  std::vector<double> pair_ratios;
+  std::size_t cursor = 0;
+  constexpr std::int64_t kWave = 8;  // one micro-batch per wave
+  constexpr std::int64_t kWarmupPairs = 2;
+  Timer wall;
+  for (std::int64_t pair = 0; wall.seconds() < 2.0 * seconds; ++pair) {
+    double wave_p99[2] = {0.0, 0.0};
+    for (const std::int64_t slot : {0, 1}) {
+      const bool on = slot != pair % 2;  // pair 0 runs off/on, pair 1 on/off
+      Timer wave_timer;
+      bool scraped = false;
+      std::thread scrape;
+      if (on) {
+        scrape = std::thread(
+            [port, &scraped] { scraped = testutil::http_request(port, "/metrics").ok; });
+      }
+      std::vector<serve::ResponseFuture> futures;
+      futures.reserve(kWave);
+      for (std::int64_t k = 0; k < kWave; ++k) {
+        Tensor image = rig.images[cursor++ % rig.images.size()];
+        serve::SubmitResult submitted = engine.submit(std::move(image));
+        if (submitted.accepted) futures.push_back(std::move(submitted.future));
+      }
+      std::vector<double> wave;
+      for (const serve::ResponseFuture& future : futures) {
+        const serve::InferResponse response = future.get();
+        if (serve::is_success(response.status)) wave.push_back(response.total_ms);
+      }
+      if (scrape.joinable()) scrape.join();
+      if (scraped) ++result.scrapes;
+      std::sort(wave.begin(), wave.end());
+      wave_p99[on ? 1 : 0] = percentile(wave, 0.99);
+      std::vector<double>& pooled = latencies[on ? 1 : 0];
+      if (pair >= kWarmupPairs) pooled.insert(pooled.end(), wave.begin(), wave.end());
+      std::this_thread::sleep_for(std::chrono::duration<double>(
+          std::min(wave_timer.seconds(), 1.0)));
     }
-    std::printf("[load] overhead leg: endpoint %s, p50 %.3f ms, p99 %.3f ms\n",
-                endpoint ? "on" : "off", leg.p50, leg.p99);
+    if (pair >= kWarmupPairs && wave_p99[0] > 0.0 && wave_p99[1] > 0.0) {
+      pair_ratios.push_back(wave_p99[1] / wave_p99[0]);
+      ++result.pairs;
+    }
   }
-  result.p50_off = best_off.p50;
-  result.p50_on = best_on.p50;
-  result.p99_off = best_off.p99;
-  result.p99_on = best_on.p99;
-  result.p99_ratio = result.p99_off > 0.0 ? result.p99_on / result.p99_off : 0.0;
+  result.scrape_hz = static_cast<double>(result.scrapes) / wall.seconds();
+  engine.stop();
+  for (std::vector<double>& l : latencies) std::sort(l.begin(), l.end());
+  std::sort(pair_ratios.begin(), pair_ratios.end());
+  result.p50_off = percentile(latencies[0], 0.50);
+  result.p50_on = percentile(latencies[1], 0.50);
+  result.p99_off = percentile(latencies[0], 0.99);
+  result.p99_on = percentile(latencies[1], 0.99);
+  result.p99_ratio = percentile(pair_ratios, 0.50);
+  result.p99_on_paired = result.p99_off * result.p99_ratio;
   // Gate: < 5% at the tail. The 0.5 ms absolute floor absorbs scheduler
   // noise when per-request latency is small enough that 5% is sub-jitter.
-  result.passed = result.p99_on <= result.p99_off * 1.05 + 0.5;
+  result.passed =
+      result.pairs > 0 && result.p99_on_paired <= result.p99_off * 1.05 + 0.5;
 
-  Table table({"Metric", "Endpoint off", "Endpoint on"});
+  Table table({"Metric", "Off-waves", "On-waves (1 scrape each)"});
   table.add_row({"latency p50 ms", Table::fmt(result.p50_off),
                  Table::fmt(result.p50_on)});
-  table.add_row({"latency p99 ms", Table::fmt(result.p99_off),
+  table.add_row({"latency p99 ms (pooled)", Table::fmt(result.p99_off),
                  Table::fmt(result.p99_on)});
+  table.add_row({"latency p99 ms (paired, gated)", Table::fmt(result.p99_off),
+                 Table::fmt(result.p99_on_paired)});
+  table.add_row({"wave pairs", std::to_string(result.pairs),
+                 std::to_string(result.pairs)});
   table.add_row({"/metrics scrapes", "0", std::to_string(result.scrapes)});
   table.print("Observability overhead");
   bench::write_csv(table, "load_overhead.csv");
-  if (result.passed) {
-    std::printf("overhead PASS: p99 %.3f -> %.3f ms (x%.3f) with the live "
-                "endpoint + 20 Hz scraper\n",
-                result.p99_off, result.p99_on, result.p99_ratio);
-  } else {
-    std::printf("FAIL: observability overhead p99 %.3f -> %.3f ms (x%.3f) "
-                "exceeds the 5%% gate\n",
-                result.p99_off, result.p99_on, result.p99_ratio);
-  }
+  std::printf("%s p99 %.3f -> %.3f ms (x%.3f, median over %lld wave pairs; "
+              "%lld scrapes, %.1f Hz)%s\n",
+              result.passed ? "overhead PASS:" : "FAIL: observability overhead",
+              result.p99_off, result.p99_on_paired, result.p99_ratio,
+              static_cast<long long>(result.pairs),
+              static_cast<long long>(result.scrapes), result.scrape_hz,
+              result.passed ? "" : " exceeds the 5% gate");
   return result;
 }
 
@@ -802,13 +798,15 @@ void write_json(const std::string& path, const Options& opt,
   if (overhead != nullptr) {
     std::fprintf(
         f,
-        "  \"overhead\": {\"seconds_per_leg\": %.3f, \"scrapes\": %lld,\n"
+        "  \"overhead\": {\"seconds_per_mode\": %.3f, \"wave_pairs\": %lld, "
+        "\"scrapes\": %lld,\n"
         "    \"p50_ms\": {\"off\": %.3f, \"on\": %.3f},\n"
-        "    \"p99_ms\": {\"off\": %.3f, \"on\": %.3f},\n"
+        "    \"p99_ms\": {\"off\": %.3f, \"on\": %.3f, \"on_paired\": %.3f},\n"
         "    \"p99_ratio\": %.4f, \"passed\": %s},\n",
-        overhead->seconds_per_leg, static_cast<long long>(overhead->scrapes),
+        overhead->seconds, static_cast<long long>(overhead->pairs),
+        static_cast<long long>(overhead->scrapes),
         overhead->p50_off, overhead->p50_on, overhead->p99_off,
-        overhead->p99_on, overhead->p99_ratio,
+        overhead->p99_on, overhead->p99_on_paired, overhead->p99_ratio,
         overhead->passed ? "true" : "false");
   }
   std::fprintf(

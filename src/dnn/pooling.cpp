@@ -13,7 +13,7 @@ MaxPool2d::MaxPool2d(std::int64_t kernel, std::int64_t stride) {
 Tensor MaxPool2d::forward(const Tensor& input, bool train) {
   validate_pool_geometry(spec_, input.dim(2), input.dim(3));
   Tensor out(output_shape(input.shape()));
-  maxpool2d_forward(input, out, argmax_, spec_);
+  maxpool2d_forward(input, out, spec_, train ? &argmax_ : nullptr);
   if (train) cached_input_shape_ = input.shape();
   return out;
 }

@@ -17,8 +17,7 @@ FlopsReport count_dnn_flops(const dnn::Sequential& model, const Shape& input_sha
   return report;
 }
 
-FlopsReport count_snn_flops(const snn::SnnNetwork& net, const Shape& input_shape,
-                            bool first_layer_macs_per_step) {
+FlopsReport count_snn_flops(const snn::SnnNetwork& net, const Shape& input_shape) {
   FlopsReport report;
   Shape shape = input_shape;
   bool seen_first_synaptic = false;
@@ -29,11 +28,8 @@ FlopsReport count_snn_flops(const snn::SnnNetwork& net, const Shape& input_shape
       LayerFlops lf;
       lf.name = layer.name() + "#" + std::to_string(i);
       if (!seen_first_synaptic) {
-        // Direct-encoded first layer: analog inputs need true MACs.
-        lf.macs = static_cast<double>(dense) *
-                  (first_layer_macs_per_step
-                       ? static_cast<double>(net.time_steps())
-                       : 1.0);
+        // Direct-encoded first layer: analog inputs need true MACs, once.
+        lf.macs = static_cast<double>(dense);
         seen_first_synaptic = true;
       } else {
         lf.acs = layer.acs_estimate(shape, net.time_steps());

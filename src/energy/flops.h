@@ -3,10 +3,10 @@
 // DNN: every conv/linear layer performs its dense MAC count once per sample.
 // SNN: layer 1 is direct-encoded (analog input), so it performs dense MACs;
 // every subsequent layer performs one AC per incoming spike per synapse,
-// i.e. dense MACs x measured input spike rate x T. Whether the first layer's
-// MACs are counted once (its input repeats identically every step, so the
-// product is computable once) or per step is configurable; the paper's
-// energy ratios are consistent with counting it once.
+// i.e. dense MACs x measured input spike rate x T. The first layer's MACs
+// are counted once per sample: its input repeats identically every step, and
+// the eval forward computes its synaptic current once and holds it
+// (snn_network.h), as the paper's energy ratios assume.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +38,6 @@ FlopsReport count_dnn_flops(const dnn::Sequential& model, const Shape& input_sha
 
 /// Per-sample MAC/AC counts for an SNN using the activity counters populated
 /// by prior inference. Call net.reset_stats(), run inference, then this.
-FlopsReport count_snn_flops(const snn::SnnNetwork& net, const Shape& input_shape,
-                            bool first_layer_macs_per_step = false);
+FlopsReport count_snn_flops(const snn::SnnNetwork& net, const Shape& input_shape);
 
 }  // namespace ullsnn::energy

@@ -64,26 +64,40 @@ Tensor IfNeuron::step_forward(const Tensor& current, std::int64_t t, bool train)
   const float v_th = threshold_.value[0];
   const float lam = leak_.value[0];
   const float amplitude = beta_ * v_th;
+  const bool hard_reset = reset_ == ResetMode::kZero;
+  float* utemp_out = nullptr;  // set only when training records U_temp(t)
   if (train) {
     if (t < 0 || static_cast<std::size_t>(t) >= cached_utemp_.size()) {
       throw std::out_of_range("IfNeuron::step_forward: step index out of range");
     }
     cached_prev_u_[static_cast<std::size_t>(t)] = membrane_;
     cached_utemp_[static_cast<std::size_t>(t)] = Tensor(current.shape());
+    utemp_out = cached_utemp_[static_cast<std::size_t>(t)].data();
   }
   Tensor spikes(current.shape());
+  const float* cur = current.data();
+  float* mem = membrane_.data();
+  float* out = spikes.data();
+  const std::int64_t n = membrane_.numel();
+  // The leak is its own pass, so lam * U(t-1) is rounded before I(t) is
+  // added: a compiler that contracts floating-point expressions cannot fuse
+  // the two into one multiply-add here, in train or eval. IF (lam == 1)
+  // skips it; 1 * U is exact.
+  if (lam != 1.0F) {
+    for (std::int64_t i = 0; i < n; ++i) mem[i] *= lam;
+  }
+  // One select-based loop for train and eval, which the compiler
+  // vectorizes: each operation is the scalar dynamics', so spikes,
+  // membranes and counts are bitwise those of a per-element branch.
   std::int64_t count = 0;
-  for (std::int64_t i = 0; i < membrane_.numel(); ++i) {
-    const float u_temp = lam * membrane_[i] + current[i];
-    if (u_temp > v_th) {
-      spikes[i] = amplitude;
-      membrane_[i] = reset_ == ResetMode::kSubtract ? u_temp - v_th : 0.0F;
-      ++count;
-    } else {
-      spikes[i] = 0.0F;
-      membrane_[i] = u_temp;
-    }
-    if (train) cached_utemp_[static_cast<std::size_t>(t)][i] = u_temp;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float u_temp = mem[i] + cur[i];
+    const bool fired = u_temp > v_th;
+    const float reset_to = hard_reset ? 0.0F : u_temp - v_th;
+    out[i] = fired ? amplitude : 0.0F;
+    mem[i] = fired ? reset_to : u_temp;
+    count += fired ? 1 : 0;
+    if (utemp_out != nullptr) utemp_out[i] = u_temp;
   }
   spikes_emitted_ += count;
   return spikes;

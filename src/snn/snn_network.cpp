@@ -44,19 +44,26 @@ Tensor SnnNetwork::forward(const Tensor& images, bool train) {
   ULLSNN_TRACE_SCOPE("snn.forward");
   ULLSNN_COUNTER_ADD("snn.forward.sequences", 1);
   cached_input_shape_ = images.shape();
+  // Direct encoding presents the same image at every step, so the first
+  // layer may compute its synaptic current once and hold it (it does in
+  // eval). The image is passed as is, never copied per step.
+  const bool direct = encoding_ == Encoding::kDirect;
   Shape shape = images.shape();
   for (auto& layer : layers_) {
     layer->begin_sequence(shape, time_steps_, train);
     shape = layer->output_shape(shape);
   }
+  layers_[0]->hold_input(direct);
   if (observer_ != nullptr) {
     observer_->on_sequence_begin(*this, images.shape(), time_steps_, train);
   }
   Tensor logits(shape);
   for (std::int64_t t = 0; t < time_steps_; ++t) {
-    Tensor x = encode_step(images, encoding_, encoder_rng_);
+    Tensor x = direct ? layers_[0]->step_forward(images, t, train)
+                      : layers_[0]->step_forward(
+                            encode_step(images, encoding_, encoder_rng_), t, train);
     for (std::size_t i = 0; i < layers_.size(); ++i) {
-      x = layers_[i]->step_forward(x, t, train);
+      if (i > 0) x = layers_[i]->step_forward(x, t, train);
       if (observer_ != nullptr) {
         observer_->on_layer_step(*this, static_cast<std::int64_t>(i), x, t);
       }

@@ -1,9 +1,14 @@
 // SnnNetwork: temporal orchestration of a spiking layer chain.
 //
 // Forward (direct input encoding, Sec. I): the analog image is presented to
-// the first layer at every step t = 0..T-1; the final layer is a neuron-free
-// SpikingLinear whose per-step currents are summed into the logits (output
-// accumulation — the standard readout for converted/direct-encoded SNNs).
+// the first layer at every step t = 0..T-1. In eval that input repeats, so
+// the first layer computes its synaptic current once, at t = 0, and
+// integrates the held current at every step (SpikingLayer::hold_input);
+// logits are bitwise those of running the synapse every
+// step. Training and Poisson encoding run it every step. The final layer is
+// a neuron-free SpikingLinear whose per-step currents are summed into the
+// logits (output accumulation — the standard readout for
+// converted/direct-encoded SNNs).
 //
 // Backward (SGL): logits = sum_t out_t, so each step receives the same
 // d(loss)/d(logits); the network sweeps t from T-1 down to 0 calling each
@@ -11,9 +16,10 @@
 //
 // State-isolation contract (serving depends on this): every forward() call
 // re-initializes all per-sequence runtime state — membranes, BPTT caches,
-// pooling argmax, dropout masks — via begin_sequence before the first time
-// step, so no membrane charge, cached input, or fault-injected corruption
-// from a previous call can leak into the next one. The ONLY state that
+// the first layer's held input current, pooling argmax, dropout masks — via
+// begin_sequence before the first time step, so no membrane charge, held
+// current, cached input, or fault-injected corruption from a previous call
+// can leak into the next one. The ONLY state that
 // persists across calls is (a) trainable parameters, plus the prepared
 // kernel operands of borrowed (artifact) weights, which derive from
 // immutable memory and so cannot go stale, (b) accumulated activity
@@ -107,10 +113,10 @@ class SnnNetwork {
   StepObserver* observer() const { return observer_; }
 
   /// Hard-reset all per-sequence runtime state on every layer (membranes,
-  /// BPTT caches, pooling argmax, dropout masks) and rewind the encoder RNG
-  /// to its seed. After this call the next forward() is a pure function of
-  /// (parameters, input, T): bitwise-identical inputs give bitwise-identical
-  /// logits under ANY encoding, regardless of what ran before. forward()
+  /// BPTT caches, held input current, pooling argmax, dropout masks) and
+  /// rewind the encoder RNG to its seed. After this call the next forward()
+  /// is a pure function of (parameters, input, T): bitwise-identical inputs
+  /// give bitwise-identical logits under ANY encoding, regardless of what ran before. forward()
   /// already re-initializes the per-sequence state by itself (see the
   /// contract above); reset_state() additionally pins the RNG streams and
   /// frees the retained buffers, which is what a serving engine wants

@@ -185,10 +185,17 @@ void SpikingConv2d::begin_sequence(const Shape& input_shape, std::int64_t time_s
                                    bool train) {
   synapse_.begin_sequence(time_steps, train);
   neuron_.begin_sequence(synapse_.output_shape(input_shape), time_steps, train);
+  hold_current_ = false;
+  held_current_ = Tensor();
 }
 
 Tensor SpikingConv2d::step_forward(const Tensor& input, std::int64_t t, bool train) {
-  return neuron_.step_forward(synapse_.forward(input, t, train), t, train);
+  // Training caches every step's input for BPTT, so it never holds.
+  if (!hold_current_ || train) {
+    return neuron_.step_forward(synapse_.forward(input, t, train), t, train);
+  }
+  if (t == 0) held_current_ = synapse_.forward(input, t, train);
+  return neuron_.step_forward(held_current_, t, train);
 }
 
 Tensor SpikingConv2d::step_backward(const Tensor& grad_output, std::int64_t t) {
@@ -228,9 +235,16 @@ void SpikingLinear::begin_sequence(const Shape& input_shape, std::int64_t time_s
     neuron_->begin_sequence({input_shape[0], synapse_.out_features()}, time_steps,
                             train);
   }
+  hold_current_ = false;
+  held_current_ = Tensor();
 }
 
 Tensor SpikingLinear::step_forward(const Tensor& input, std::int64_t t, bool train) {
+  if (hold_current_ && !train) {  // see SpikingConv2d
+    if (t == 0) held_current_ = synapse_.forward(input, t, train);
+    if (neuron_) return neuron_->step_forward(held_current_, t, train);
+    return held_current_;
+  }
   Tensor current = synapse_.forward(input, t, train);
   if (neuron_) return neuron_->step_forward(current, t, train);
   return current;
@@ -285,9 +299,9 @@ void SpikingMaxPool::begin_sequence(const Shape& input_shape, std::int64_t time_
 
 Tensor SpikingMaxPool::step_forward(const Tensor& input, std::int64_t t, bool train) {
   Tensor out(output_shape(input.shape()));
-  std::vector<std::int64_t> argmax;
-  maxpool2d_forward(input, out, argmax, spec_);
-  if (train) argmax_per_step_[static_cast<std::size_t>(t)] = std::move(argmax);
+  // Only BPTT reads the argmax; eval pools values alone.
+  maxpool2d_forward(input, out, spec_,
+                    train ? &argmax_per_step_.at(static_cast<std::size_t>(t)) : nullptr);
   return out;
 }
 

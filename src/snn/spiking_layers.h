@@ -16,6 +16,15 @@
 // tally that dispatch scan produces feeds the Sec. VI spiking-activity /
 // FLOPs / energy accounting — there is no separate counting pass. IF neurons
 // count emitted spikes.
+//
+// Held input current: hold_input(true), called after begin_sequence,
+// promises that step_forward will see the same input at every step of the
+// sequence (direct encoding, Sec. I). In eval, SpikingConv2d and
+// SpikingLinear then run their synapse once, at t = 0, and integrate that
+// held current at every step: the same T membrane updates on bitwise the
+// same current, and the one synaptic pass the Sec. VI energy model already
+// counts. Training runs the synapse every step (BPTT caches each step's
+// input); other layers ignore the promise.
 #pragma once
 
 #include <cstdint>
@@ -152,6 +161,9 @@ class SpikingLayer {
 
   virtual void begin_sequence(const Shape& input_shape, std::int64_t time_steps,
                               bool train) = 0;
+  /// Every step of the current sequence gets the same input (see the held
+  /// input current above). begin_sequence forgets it.
+  virtual void hold_input(bool /*repeats*/) {}
   virtual Tensor step_forward(const Tensor& input, std::int64_t t, bool train) = 0;
   virtual void begin_backward() {}
   virtual Tensor step_backward(const Tensor& grad_output, std::int64_t t) = 0;
@@ -212,6 +224,7 @@ class SpikingConv2d final : public SpikingLayer {
 
   void begin_sequence(const Shape& input_shape, std::int64_t time_steps,
                       bool train) override;
+  void hold_input(bool repeats) override { hold_current_ = repeats; }
   Tensor step_forward(const Tensor& input, std::int64_t t, bool train) override;
   void begin_backward() override { neuron_.begin_backward(); }
   Tensor step_backward(const Tensor& grad_output, std::int64_t t) override;
@@ -228,6 +241,7 @@ class SpikingConv2d final : public SpikingLayer {
   void reset_runtime_state() override {
     neuron_.clear_state();
     synapse_.clear_runtime_state();
+    held_current_ = Tensor();
   }
   IfNeuron* neuron_or_null() override { return &neuron_; }
   void set_precision(Precision precision) override {
@@ -239,6 +253,8 @@ class SpikingConv2d final : public SpikingLayer {
  private:
   SynapticConv synapse_;
   IfNeuron neuron_;
+  bool hold_current_ = false;  // this sequence's input repeats
+  Tensor held_current_;        // synaptic current of t = 0 when holding
 };
 
 /// Fully connected synapse, optionally followed by IF dynamics. The output
@@ -250,6 +266,7 @@ class SpikingLinear final : public SpikingLayer {
 
   void begin_sequence(const Shape& input_shape, std::int64_t time_steps,
                       bool train) override;
+  void hold_input(bool repeats) override { hold_current_ = repeats; }
   Tensor step_forward(const Tensor& input, std::int64_t t, bool train) override;
   void begin_backward() override;
   Tensor step_backward(const Tensor& grad_output, std::int64_t t) override;
@@ -271,6 +288,7 @@ class SpikingLinear final : public SpikingLayer {
   void reset_runtime_state() override {
     if (neuron_) neuron_->clear_state();
     synapse_.clear_runtime_state();
+    held_current_ = Tensor();
   }
   IfNeuron* neuron_or_null() override { return neuron_.get(); }
   void set_precision(Precision precision) override {
@@ -283,6 +301,8 @@ class SpikingLinear final : public SpikingLayer {
  private:
   SynapticLinear synapse_;
   std::unique_ptr<IfNeuron> neuron_;
+  bool hold_current_ = false;  // see SpikingConv2d
+  Tensor held_current_;
 };
 
 /// Max pooling over spike maps. On {0, amplitude} inputs the output stays in

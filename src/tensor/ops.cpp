@@ -761,15 +761,19 @@ void for_each_plane(std::int64_t planes, const std::function<void(std::int64_t)>
 }
 }  // namespace
 
-void maxpool2d_forward(const Tensor& input, Tensor& output,
-                       std::vector<std::int64_t>& argmax, const Pool2dSpec& spec) {
+void maxpool2d_forward(const Tensor& input, Tensor& output, const Pool2dSpec& spec,
+                       std::vector<std::int64_t>* argmax) {
   const std::int64_t batch = input.dim(0);
   const std::int64_t channels = input.dim(1);
   const std::int64_t height = input.dim(2);
   const std::int64_t width = input.dim(3);
   const std::int64_t oh = spec.out_extent(height);
   const std::int64_t ow = spec.out_extent(width);
-  argmax.resize(static_cast<std::size_t>(batch * channels * oh * ow));
+  if (argmax != nullptr) {
+    argmax->resize(static_cast<std::size_t>(batch * channels * oh * ow));
+  }
+  std::int64_t* best_at = argmax != nullptr ? argmax->data() : nullptr;
+  float* out = output.data();
   for_each_plane(batch * channels, [&](std::int64_t nc) {
     const float* plane = input.data() + nc * height * width;
     const std::int64_t plane_base = nc * height * width;
@@ -783,15 +787,19 @@ void maxpool2d_forward(const Tensor& input, Tensor& output,
           const float* row = plane + iy * width + ox * spec.stride;
           const std::int64_t row_base = plane_base + iy * width + ox * spec.stride;
           for (std::int64_t kx = 0; kx < spec.kernel; ++kx) {
+            // Strict > keeps the first maximum (and skips NaN), so the value
+            // kept is the same with or without index tracking.
             const float v = row[kx];
-            if (v > best) {
+            if (best_at == nullptr) {
+              best = v > best ? v : best;
+            } else if (v > best) {
               best = v;
               best_idx = row_base + kx;
             }
           }
         }
-        output[out_idx] = best;
-        argmax[static_cast<std::size_t>(out_idx)] = best_idx;
+        out[out_idx] = best;
+        if (best_at != nullptr) best_at[out_idx] = best_idx;
       }
     }
   });

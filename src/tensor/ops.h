@@ -223,11 +223,13 @@ struct Pool2dSpec {
 void validate_pool_geometry(const Pool2dSpec& spec, std::int64_t height,
                             std::int64_t width);
 
-/// Max pooling; records the flat input index of each output's argmax in
-/// `argmax` (same shape as output) for the backward pass. Plane-parallel
-/// (each [H,W] plane is independent) when the pool has threads.
-void maxpool2d_forward(const Tensor& input, Tensor& output,
-                       std::vector<std::int64_t>& argmax, const Pool2dSpec& spec);
+/// Max pooling. With a non-null `argmax`, also records the flat input index
+/// of each output's maximum (first on ties; same size as output) for the
+/// backward pass; the pooled values are the same bits either way.
+/// Plane-parallel (each [H,W] plane is independent) when the pool has
+/// threads.
+void maxpool2d_forward(const Tensor& input, Tensor& output, const Pool2dSpec& spec,
+                       std::vector<std::int64_t>* argmax = nullptr);
 
 /// Scatter grad_output to the recorded argmax positions. Overwrites
 /// grad_input. Argmax indices must come from maxpool2d_forward on the same

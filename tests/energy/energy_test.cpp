@@ -66,16 +66,6 @@ TEST(SnnFlopsTest, SparseInputsScaleAcs) {
   EXPECT_DOUBLE_EQ(r.layers[1].acs, 0.0);
 }
 
-TEST(SnnFlopsTest, FirstLayerPerStepOption) {
-  auto net = std::make_unique<snn::SnnNetwork>(3);
-  net->emplace<snn::SpikingLinear>(Tensor({4, 4}, 0.1F), snn::IfConfig{}, true);
-  net->reset_stats();
-  net->forward(Tensor({1, 4}, 1.0F), false);
-  const FlopsReport once = count_snn_flops(*net, {1, 4}, false);
-  const FlopsReport per_step = count_snn_flops(*net, {1, 4}, true);
-  EXPECT_DOUBLE_EQ(per_step.total_macs, 3.0 * once.total_macs);
-}
-
 TEST(EnergyModelTest, CmosConstants) {
   FlopsReport r;
   r.total_macs = 10.0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/tensor/random.h"
 
 namespace ullsnn::snn {
@@ -112,6 +114,15 @@ TEST(SpikingMaxPoolTest, BackwardRoutesToArgmax) {
   const Tensor g = pool.step_backward(Tensor({1, 1, 1, 1}, 5.0F), 0);
   EXPECT_FLOAT_EQ(g[3], 5.0F);
   EXPECT_FLOAT_EQ(g[0], 0.0F);
+}
+
+TEST(SpikingMaxPoolTest, TrainingStepWithoutItsArgmaxSlotThrows) {
+  SpikingMaxPool pool(Pool2dSpec{2, 2});
+  const Tensor spikes({1, 1, 2, 2});
+  pool.begin_sequence({1, 1, 2, 2}, 1, /*train=*/false);
+  EXPECT_THROW(pool.step_forward(spikes, 0, /*train=*/true), std::out_of_range);
+  pool.begin_sequence({1, 1, 2, 2}, 1, /*train=*/true);
+  EXPECT_THROW(pool.step_forward(spikes, 1, /*train=*/true), std::out_of_range);
 }
 
 TEST(SpikingAvgPoolTest, AveragesSpikes) {

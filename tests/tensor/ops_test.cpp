@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/tensor/random.h"
@@ -243,7 +245,7 @@ TEST(PoolTest, MaxPoolForwardAndArgmax) {
   for (std::int64_t i = 0; i < 16; ++i) input[i] = static_cast<float>(i);
   Tensor out({1, 1, 2, 2});
   std::vector<std::int64_t> argmax;
-  maxpool2d_forward(input, out, argmax, spec);
+  maxpool2d_forward(input, out, spec, &argmax);
   EXPECT_FLOAT_EQ(out.at(0, 0, 0, 0), 5.0F);
   EXPECT_FLOAT_EQ(out.at(0, 0, 1, 1), 15.0F);
   EXPECT_EQ(argmax[0], 5);
@@ -266,9 +268,46 @@ TEST(PoolTest, MaxPoolOnNegativeValues) {
   input[3] = -2.0F;
   Tensor out({1, 1, 1, 1});
   std::vector<std::int64_t> argmax;
-  maxpool2d_forward(input, out, argmax, spec);
+  maxpool2d_forward(input, out, spec, &argmax);
   EXPECT_FLOAT_EQ(out[0], -1.0F);
   EXPECT_EQ(argmax[0], 1);
+}
+
+TEST(PoolTest, MaxPoolWithoutArgmaxIsBitwiseEqual) {
+  // Eval pools without index tracking; the values must be the tracked ones.
+  // The 2x2 windows along the top of plane 0 hold ties, signed-zero ties,
+  // all-negative values, NaN and all -inf; the rest is random and signed.
+  // The 3x3/2 pass reuses the input with overlapping windows.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<std::vector<float>> windows = {{1.0F, 1.0F, 1.0F, 1.0F},
+                                                   {-0.0F, 0.0F, 0.0F, -0.0F},
+                                                   {-5.0F, -1.0F, -3.0F, -1.0F},
+                                                   {nan, 2.0F, nan, -inf},
+                                                   {-inf, -inf, -inf, -inf}};
+  Tensor input({2, 3, 10, 10});
+  Rng rng(17);
+  uniform_fill(input, -2.0F, 2.0F, rng);
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const auto x = static_cast<std::int64_t>(2 * w);
+    input.at(0, 0, 0, x) = windows[w][0];
+    input.at(0, 0, 0, x + 1) = windows[w][1];
+    input.at(0, 0, 1, x) = windows[w][2];
+    input.at(0, 0, 1, x + 1) = windows[w][3];
+  }
+  for (const Pool2dSpec spec : {Pool2dSpec{2, 2}, Pool2dSpec{3, 2}}) {
+    const Shape out_shape = {2, 3, spec.out_extent(10), spec.out_extent(10)};
+    Tensor tracked(out_shape);
+    Tensor plain(out_shape, 7.0F);
+    std::vector<std::int64_t> argmax;
+    maxpool2d_forward(input, tracked, spec, &argmax);
+    maxpool2d_forward(input, plain, spec);
+    ASSERT_EQ(argmax.size(), static_cast<std::size_t>(tracked.numel()));
+    EXPECT_EQ(std::memcmp(tracked.data(), plain.data(),
+                          static_cast<std::size_t>(tracked.numel()) * sizeof(float)),
+              0)
+        << "kernel " << spec.kernel;
+  }
 }
 
 TEST(PoolTest, AvgPoolForwardBackward) {
@@ -291,8 +330,7 @@ TEST(PoolTest, StridedPoolShapes) {
   EXPECT_EQ(spec.out_extent(7), 3);
   Tensor input({1, 1, 7, 7}, 1.0F);
   Tensor out({1, 1, 3, 3});
-  std::vector<std::int64_t> argmax;
-  maxpool2d_forward(input, out, argmax, spec);
+  maxpool2d_forward(input, out, spec);
   EXPECT_FLOAT_EQ(out.sum(), 9.0F);
 }
 
