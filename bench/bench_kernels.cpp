@@ -1,9 +1,10 @@
 // Kernel microbenchmarks and the perf-regression baseline.
 //
 // Covers the full hot-kernel surface: blocked vs naive GEMM (all three
-// transpose variants), batched conv forward/backward, the linear layer,
-// pooling, the sparse-vs-dense spike-GEMM density sweep, IF-neuron stepping,
-// and whole-network spiking inference at three input activities.
+// transpose variants), batched conv forward/backward, the dense spiking conv
+// at served shapes, the linear layer, training and eval pooling, the
+// sparse-vs-dense spike-GEMM density sweep, IF-neuron stepping, and
+// whole-network spiking inference at three input activities.
 //
 // Regression workflow: tools/bench_to_json.sh runs this binary with JSON
 // output and stamps it with build provenance; the checked-in
@@ -158,6 +159,32 @@ void BM_Conv2dForwardInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForwardInt8)->Arg(16)->Arg(32)->Arg(64)->MinTime(0.2);
 
+/// Dense fp32 spiking conv at served VGG-11 layer shapes, one sample, through
+/// the prepared weight a served layer holds; the density threshold is forced
+/// below zero so the sample takes the dense (patch-packed GEMM) path. Args:
+/// in channels, out channels, image side.
+void BM_Conv2dForwardSpiking(benchmark::State& state) {
+  const std::int64_t cin = state.range(0);
+  const std::int64_t cout = state.range(1);
+  const std::int64_t size = state.range(2);
+  Rng rng(2);
+  const Conv2dSpec spec{cin, cout, 3, 1, 1};
+  Tensor input({1, cin, size, size});
+  Tensor weight({cout, cin, 3, 3});
+  Tensor output({1, cout, size, size});
+  uniform_fill(input, 0.0F, 1.0F, rng);
+  uniform_fill(weight, -0.1F, 0.1F, rng);
+  const PreparedWeight prepared(weight.data(), cout, cin * 9, Precision::kFp32);
+  SpikeKernelStats stats;
+  for (auto _ : state) {
+    conv2d_forward_spiking(input, prepared, output, spec,
+                           /*density_threshold=*/-1.0F, Precision::kFp32, stats);
+    benchmark::DoNotOptimize(output.data());
+  }
+  state.SetItemsProcessed(state.iterations() * output.numel());
+}
+BENCHMARK(BM_Conv2dForwardSpiking)->Args({8, 16, 16})->Args({64, 64, 4})->MinTime(0.2);
+
 /// Batched forward: the packed weight panels are reused across the 8 samples.
 void BM_Conv2dForwardBatched(benchmark::State& state) {
   const std::int64_t channels = state.range(0);
@@ -237,6 +264,23 @@ void BM_MaxPool(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * input.numel());
 }
 BENCHMARK(BM_MaxPool)->Arg(64)->MinTime(0.2);
+
+/// The eval (argmax-free) pool the SNN forward runs: the vectorized 2x2/2
+/// body. Compare against BM_MaxPool, which times the training path.
+void BM_MaxPoolEval(benchmark::State& state) {
+  const std::int64_t channels = state.range(0);
+  Rng rng(5);
+  Pool2dSpec spec;  // 2x2 stride 2
+  Tensor input({8, channels, 32, 32});
+  Tensor output({8, channels, 16, 16});
+  uniform_fill(input, -1.0F, 1.0F, rng);
+  for (auto _ : state) {
+    maxpool2d_forward(input, output, spec);
+    benchmark::DoNotOptimize(output.data());
+  }
+  state.SetItemsProcessed(state.iterations() * input.numel());
+}
+BENCHMARK(BM_MaxPoolEval)->Arg(64)->MinTime(0.2);
 
 void BM_AvgPool(benchmark::State& state) {
   const std::int64_t channels = state.range(0);

@@ -1,5 +1,5 @@
 // Per-thread scratch arena: a bump allocator for kernel temporaries
-// (im2row buffers, GEMM packing panels, sparse index lists).
+// (padded images, im2row buffers, GEMM packing panels, sparse index lists).
 //
 // The old kernels carried `std::vector<float>& scratch` parameters that were
 // re-`resize`d on every call; every layer owned its own buffer and the

@@ -155,12 +155,42 @@ void quantize_row_u8(const float* src, std::int64_t stride, std::uint8_t* dst,
   }
 }
 
-/// Pack rows [ic, ic+mc) x cols [pc, pc+kc) of A into ceil(mc/MR) panels of
-/// [kc x MR] each, zero-padding the ragged last panel.
-float* pack_a_block(MatView a, std::int64_t ic, std::int64_t mc, std::int64_t pc,
-                    std::int64_t kc, Arena& arena) {
-  const std::int64_t panels = ceil_div(mc, kMR);
-  float* packed = arena.alloc_floats(static_cast<std::size_t>(panels * kc * kMR));
+}  // namespace
+
+QuantizedPackedB::Rows::Rows(std::int64_t m, std::int64_t k, Arena& arena)
+    : data(arena.alloc_u8(static_cast<std::size_t>(m * k))),
+      scale(arena.alloc_floats(static_cast<std::size_t>(m))),
+      zero_point(arena.alloc_i32(static_cast<std::size_t>(m))),
+      k_(k) {}
+
+void QuantizedPackedB::Rows::quantize(std::int64_t i, const float* row,
+                                      std::int64_t stride) {
+  // Per-row asymmetric activation quantization to [0, 127]: the range always
+  // includes 0 so zeros (the overwhelmingly common spike value) map exactly
+  // to the zero point, and the 7-bit cap keeps the AVX2 maddubs pair sums
+  // below i16 saturation. For binary spike rows the quantization is exact.
+  float lo = 0.0F;
+  float hi = 0.0F;
+  row_min_max(row, k_, stride, lo, hi);
+  float inv = 0.0F;
+  std::int32_t zp = 0;
+  if (hi == lo) {  // all-zero row
+    scale[i] = 0.0F;
+  } else {
+    scale[i] = (hi - lo) / 127.0F;
+    inv = 127.0F / (hi - lo);
+    zp = static_cast<std::int32_t>(std::clamp<long>(std::lrintf(-lo * inv), 0, 127));
+  }
+  zero_point[i] = zp;
+  quantize_row_u8(row, stride, data + i * k_, k_, inv, zp);
+}
+
+namespace {
+
+/// Pack rows [ic, ic+mc) x cols [pc, pc+kc) of A into `packed`: ceil(mc/MR)
+/// panels of [kc x MR] each, zero-padding the ragged last panel.
+void pack_a_block(MatView a, std::int64_t ic, std::int64_t mc, std::int64_t pc,
+                  std::int64_t kc, float* packed) {
   for (std::int64_t i0 = 0; i0 < mc; i0 += kMR) {
     float* dst = packed + (i0 / kMR) * kc * kMR;
     const std::int64_t ir = std::min(kMR, mc - i0);
@@ -171,7 +201,74 @@ float* pack_a_block(MatView a, std::int64_t ic, std::int64_t mc, std::int64_t pc
       for (; i < kMR; ++i) dst[kk * kMR + i] = 0.0F;
     }
   }
-  return packed;
+}
+
+/// pack_a_block over the implicit im2row matrix of `a`: row r's column kk is
+/// a.row(r)[a.offsets[kk]], so a panel is six gathers per k step
+/// with no bounds checks (the image's zero border stands in for padding).
+/// The packed values and layout are exactly pack_a_block's over im2row.
+void pack_patch_block(PatchView a, std::int64_t ic, std::int64_t mc, std::int64_t pc,
+                      std::int64_t kc, float* packed) {
+  const std::int64_t* off = a.offsets + pc;
+  for (std::int64_t i0 = 0; i0 < mc; i0 += kMR) {
+    float* dst = packed + (i0 / kMR) * kc * kMR;
+    const std::int64_t ir = std::min(kMR, mc - i0);
+    const float* base[kMR];
+    for (std::int64_t i = 0; i < ir; ++i) base[i] = a.row(ic + i0 + i);
+    if (ir == kMR) {  // constant trip count: the six gathers unroll
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const std::int64_t o = off[kk];
+        for (std::int64_t i = 0; i < kMR; ++i) dst[kk * kMR + i] = base[i][o];
+      }
+    } else {
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const std::int64_t o = off[kk];
+        std::int64_t i = 0;
+        for (; i < ir; ++i) dst[kk * kMR + i] = base[i][o];
+        for (; i < kMR; ++i) dst[kk * kMR + i] = 0.0F;
+      }
+    }
+  }
+}
+
+/// The blocked loop behind every fp32 gemm_packed form: for each packed B
+/// block and MC-row block of A, `pack_a(ic, mc, pc, kc, dst)` writes the A
+/// panels into `dst` and the micro-kernel sweeps them against B's panels.
+template <typename Block, typename PackA>
+void gemm_blocked(const std::vector<Block>& blocks, std::int64_t packed_nr, float* c,
+                  std::int64_t m, std::int64_t n, bool accumulate,
+                  const PackA& pack_a) {
+  if (!accumulate) {
+    std::memset(c, 0, static_cast<std::size_t>(m * n) * sizeof(float));
+  }
+  if (m == 0 || n == 0) return;
+  const KernelPlan& plan = kernel_plan();
+  if (packed_nr != plan.fp32_nr) {
+    throw std::logic_error(
+        "gemm_packed: PackedB was packed under a different kernel plan; "
+        "re-pack after switching ISA");
+  }
+  const auto kernel = reinterpret_cast<detail::MicroKernelFp32>(plan.fp32);
+  const std::int64_t nr = plan.fp32_nr;
+  Arena& arena = thread_arena();
+  for (const Block& block : blocks) {
+    for (std::int64_t ic = 0; ic < m; ic += kMC) {
+      const std::int64_t mc = std::min(kMC, m - ic);
+      ArenaScope scope(arena);
+      float* ap =
+          arena.alloc_floats(static_cast<std::size_t>(ceil_div(mc, kMR) * block.kc * kMR));
+      pack_a(ic, mc, block.pc, block.kc, ap);
+      for (std::int64_t j0 = 0; j0 < block.nc; j0 += nr) {
+        const float* bp = block.data + (j0 / nr) * block.kc * nr;
+        const std::int64_t cols = std::min(nr, block.nc - j0);
+        for (std::int64_t i0 = 0; i0 < mc; i0 += kMR) {
+          kernel(ap + (i0 / kMR) * block.kc * kMR, bp,
+                 c + (ic + i0) * n + block.jc + j0, block.kc, n,
+                 std::min(kMR, mc - i0), cols);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -234,36 +331,16 @@ void PackedB::pack(MatView b, std::int64_t k, std::int64_t n, float* storage) {
 
 void gemm_packed(MatView a, const PackedB& b, float* c, std::int64_t m,
                  bool accumulate) {
-  const std::int64_t n = b.n_;
-  if (!accumulate) {
-    std::memset(c, 0, static_cast<std::size_t>(m * n) * sizeof(float));
-  }
-  if (m == 0 || n == 0) return;
-  const KernelPlan& plan = kernel_plan();
-  if (b.nr_ != plan.fp32_nr) {
-    throw std::logic_error(
-        "gemm_packed: PackedB was packed under a different kernel plan; "
-        "re-pack after switching ISA");
-  }
-  const auto kernel = reinterpret_cast<detail::MicroKernelFp32>(plan.fp32);
-  const std::int64_t nr = plan.fp32_nr;
-  Arena& arena = thread_arena();
-  for (const PackedB::Block& block : b.blocks_) {
-    for (std::int64_t ic = 0; ic < m; ic += kMC) {
-      const std::int64_t mc = std::min(kMC, m - ic);
-      ArenaScope scope(arena);
-      const float* ap = pack_a_block(a, ic, mc, block.pc, block.kc, arena);
-      for (std::int64_t j0 = 0; j0 < block.nc; j0 += nr) {
-        const float* bp = block.data + (j0 / nr) * block.kc * nr;
-        const std::int64_t cols = std::min(nr, block.nc - j0);
-        for (std::int64_t i0 = 0; i0 < mc; i0 += kMR) {
-          kernel(ap + (i0 / kMR) * block.kc * kMR, bp,
-                 c + (ic + i0) * n + block.jc + j0, block.kc, n,
-                 std::min(kMR, mc - i0), cols);
-        }
-      }
-    }
-  }
+  gemm_blocked(b.blocks_, b.nr_, c, m, b.n_, accumulate,
+               [&](std::int64_t ic, std::int64_t mc, std::int64_t pc, std::int64_t kc,
+                   float* dst) { pack_a_block(a, ic, mc, pc, kc, dst); });
+}
+
+void gemm_packed(PatchView a, const PackedB& b, float* c, std::int64_t m,
+                 bool accumulate) {
+  gemm_blocked(b.blocks_, b.nr_, c, m, b.n_, accumulate,
+               [&](std::int64_t ic, std::int64_t mc, std::int64_t pc, std::int64_t kc,
+                   float* dst) { pack_patch_block(a, ic, mc, pc, kc, dst); });
 }
 
 void gemm(MatView a, MatView b, float* c, std::int64_t m, std::int64_t k,
@@ -402,7 +479,33 @@ void QuantizedPackedB::pack(const QuantizedWeight& w) {
 
 void gemm_packed_int8(MatView a, const QuantizedPackedB& b, float* c,
                       std::int64_t m, bool accumulate) {
-  const std::int64_t n = b.n_;
+  Arena& arena = thread_arena();
+  ArenaScope scope(arena);
+  QuantizedPackedB::Rows q(m, b.k_, arena);
+  for (std::int64_t i = 0; i < m; ++i) q.quantize(i, a.data + i * a.rs, a.cs);
+  b.multiply(q, c, m, accumulate);
+}
+
+void gemm_packed_int8(PatchView a, const QuantizedPackedB& b, float* c,
+                      std::int64_t m, bool accumulate) {
+  Arena& arena = thread_arena();
+  ArenaScope scope(arena);
+  const std::int64_t k = b.k_;
+  QuantizedPackedB::Rows q(m, k, arena);
+  // One receptive field at a time through an L1-resident row: the same
+  // values im2row would materialise, so the same quantized bytes.
+  float* row = arena.alloc_floats(static_cast<std::size_t>(k));
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* base = a.row(i);
+    for (std::int64_t kk = 0; kk < k; ++kk) row[kk] = base[a.offsets[kk]];
+    q.quantize(i, row, 1);
+  }
+  b.multiply(q, c, m, accumulate);
+}
+
+void QuantizedPackedB::multiply(const Rows& q, float* c, std::int64_t m,
+                                bool accumulate) const {
+  const std::int64_t n = n_;
   if (!accumulate) {
     std::memset(c, 0, static_cast<std::size_t>(m * n) * sizeof(float));
   }
@@ -410,38 +513,9 @@ void gemm_packed_int8(MatView a, const QuantizedPackedB& b, float* c,
   ULLSNN_COUNTER_ADD("kernels.int8_dispatch", 1);
   const auto kernel = reinterpret_cast<detail::MicroKernelInt8>(kernel_plan().int8);
   Arena& arena = thread_arena();
-  ArenaScope outer(arena);
-  // Per-row asymmetric activation quantization to [0, 127]: the range always
-  // includes 0 so zeros (the overwhelmingly common spike value) map exactly
-  // to the zero point, and the 7-bit cap keeps the AVX2 maddubs pair sums
-  // below i16 saturation. For binary spike rows the quantization is exact.
-  float* a_scale = arena.alloc_floats(static_cast<std::size_t>(m));
-  float* a_inv = arena.alloc_floats(static_cast<std::size_t>(m));
-  std::int32_t* a_zp = arena.alloc_i32(static_cast<std::size_t>(m));
-  const std::int64_t k = b.k_;
-  // Quantize every A row exactly once into a contiguous uint8 image; the
-  // per-block packing below is then pure byte movement.
-  std::uint8_t* aq = arena.alloc_u8(static_cast<std::size_t>(m * k));
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* row = a.data + i * a.rs;
-    float lo = 0.0F;
-    float hi = 0.0F;
-    row_min_max(row, k, a.cs, lo, hi);
-    if (hi == lo) {  // all-zero row
-      a_scale[i] = 0.0F;
-      a_inv[i] = 0.0F;
-      a_zp[i] = 0;
-    } else {
-      a_scale[i] = (hi - lo) / 127.0F;
-      a_inv[i] = 127.0F / (hi - lo);
-      a_zp[i] = static_cast<std::int32_t>(
-          std::clamp<long>(std::lrintf(-lo * a_inv[i]), 0, 127));
-    }
-    quantize_row_u8(row, a.cs, aq + i * k, k, a_inv[i], a_zp[i]);
-  }
-  for (const QuantizedPackedB::Block& block : b.blocks_) {
+  for (const Block& block : blocks_) {
     const std::int64_t kq = ceil_div(block.kc, 4);
-    const std::int32_t* csum_base = b.colsums_.data() + block.colsum_off;
+    const std::int32_t* csum_base = colsums_.data() + block.colsum_off;
     for (std::int64_t ic = 0; ic < m; ic += kMC) {
       const std::int64_t mc = std::min(kMC, m - ic);
       ArenaScope scope(arena);
@@ -457,7 +531,7 @@ void gemm_packed_int8(MatView a, const QuantizedPackedB& b, float* c,
         std::uint8_t* dst = ap + (i0 / kMR) * kq * kMR * 4;
         const std::int64_t ir = std::min(kMR, mc - i0);
         for (std::int64_t i = 0; i < ir; ++i) {
-          const std::uint8_t* src = aq + (ic + i0 + i) * k + block.pc;
+          const std::uint8_t* src = q.data + (ic + i0 + i) * k_ + block.pc;
           std::uint8_t* d = dst + i * 4;
           for (std::int64_t q4 = 0; q4 < kq_full; ++q4) {
             std::memcpy(d + q4 * kMR * 4, src + q4 * 4, 4);
@@ -470,9 +544,9 @@ void gemm_packed_int8(MatView a, const QuantizedPackedB& b, float* c,
       alignas(64) std::int32_t acc[kMR * kInt8Nr];
       for (std::int64_t j0 = 0; j0 < block.nc; j0 += kInt8Nr) {
         const std::int8_t* bp =
-            b.panels_.data() + block.data_off + (j0 / kInt8Nr) * kq * kInt8Nr * 4;
+            panels_.data() + block.data_off + (j0 / kInt8Nr) * kq * kInt8Nr * 4;
         const std::int32_t* csum = csum_base + j0;
-        const float* sb = b.scales_.data() + block.jc + j0;
+        const float* sb = scales_.data() + block.jc + j0;
         const std::int64_t cols = std::min(kInt8Nr, block.nc - j0);
         for (std::int64_t i0 = 0; i0 < mc; i0 += kMR) {
           const std::int64_t rows = std::min(kMR, mc - i0);
@@ -485,8 +559,8 @@ void gemm_packed_int8(MatView a, const QuantizedPackedB& b, float* c,
           // fmaf), so it is bitwise-equal to the scalar tail as well.
           for (std::int64_t i = 0; i < rows; ++i) {
             const std::int64_t row = ic + i0 + i;
-            const float sa = a_scale[row];
-            const std::int32_t zp = a_zp[row];
+            const float sa = q.scale[row];
+            const std::int32_t zp = q.zero_point[row];
             float* ci = c + row * n + block.jc + j0;
             const std::int32_t* acc_row = acc + i * kInt8Nr;
             std::int64_t j = 0;

@@ -12,7 +12,9 @@
 // Both operands are packed: B into [Kc x NR] column panels, A into [Kc x MR]
 // row panels, with edge tiles zero-padded so the micro-kernel never branches
 // on geometry. Transposed operands cost nothing extra — packing reads through
-// a strided MatView, so matmul_at / matmul_bt share the single kernel.
+// a strided MatView, so matmul_at / matmul_bt share the single kernel. A
+// convolution's A operand is packed straight from the image through a
+// PatchView, so the dense conv forward never builds an im2row matrix.
 //
 // PackedB lets a caller pack a reused right-hand operand once (conv weights
 // across the batch-sample loop; linear weights across time steps) and run
@@ -58,6 +60,27 @@ inline MatView transposed(const float* data, std::int64_t ld) {
   return {data, 1, ld};
 }
 
+/// Implicit im2row operand of a convolution over one zero-bordered image
+/// [C, Hp, Wp] (Hp = H + 2*pad, Wp = W + 2*pad): row r = oy*ow + ox is the
+/// receptive field of output pixel (oy, ox), and its column kk reads
+///   image[(oy*stride)*wp + ox*stride + offsets[kk]],
+/// with offsets[(c*K + ky)*K + kx] = (c*Hp + ky)*Wp + kx. The GEMMs read A
+/// straight from the image, so the [OH*OW, C*K*K] im2row matrix is never
+/// built, yet they see exactly im2row's values (the zero border supplies the
+/// padding zeros).
+struct PatchView {
+  const float* image = nullptr;
+  const std::int64_t* offsets = nullptr;  // one per column of A
+  std::int64_t ow = 0;                    // output width
+  std::int64_t stride = 1;
+  std::int64_t wp = 0;                    // padded image row length
+
+  /// Base of row r: its column kk is row(r)[offsets[kk]].
+  const float* row(std::int64_t r) const {
+    return image + (r / ow) * stride * wp + (r % ow) * stride;
+  }
+};
+
 /// Right-hand operand packed once into micro-kernel panel layout, reusable
 /// across any number of gemm_packed calls. Panels live in caller-provided
 /// storage (an arena, or a buffer the caller owns), which must outlive the
@@ -84,6 +107,8 @@ class PackedB {
  private:
   friend void gemm_packed(MatView a, const PackedB& b, float* c, std::int64_t m,
                           bool accumulate);
+  friend void gemm_packed(PatchView a, const PackedB& b, float* c, std::int64_t m,
+                          bool accumulate);
   /// Panel block for one (pc, jc) tile of B; `data` holds ceil(nc/NR) panels
   /// of kc x NR floats each, consecutive panels covering consecutive NR-wide
   /// column strips.
@@ -100,6 +125,12 @@ class PackedB {
 
 /// C[m, n()] (+)= A[m, k()] * B. C is row-major contiguous with ld = n().
 void gemm_packed(MatView a, const PackedB& b, float* c, std::int64_t m,
+                 bool accumulate);
+
+/// The same product with A the implicit im2row matrix of `a` (m = OH*OW,
+/// k() = C*K*K). Bitwise equal to gemm_packed over the materialised im2row
+/// rows: one blocked loop runs both, only the A packing differs.
+void gemm_packed(PatchView a, const PackedB& b, float* c, std::int64_t m,
                  bool accumulate);
 
 /// C[m, n] (+)= A[m, k] * B[k, n], both operands through strided views,
@@ -157,6 +188,26 @@ class QuantizedPackedB {
  private:
   friend void gemm_packed_int8(MatView a, const QuantizedPackedB& b, float* c,
                                std::int64_t m, bool accumulate);
+  friend void gemm_packed_int8(PatchView a, const QuantizedPackedB& b, float* c,
+                               std::int64_t m, bool accumulate);
+  /// The A side: m rows quantized per row to uint8 in [0, 127] (asymmetric,
+  /// with 0 always in range so it maps exactly onto the zero point), in
+  /// storage from the caller's arena.
+  class Rows {
+   public:
+    Rows(std::int64_t m, std::int64_t k, Arena& arena);
+    /// Quantize row i from k floats at row[0], row[stride], ...
+    void quantize(std::int64_t i, const float* row, std::int64_t stride);
+
+    std::uint8_t* data;        // [m, k] row-major
+    float* scale;              // [m]
+    std::int32_t* zero_point;  // [m]
+
+   private:
+    std::int64_t k_;
+  };
+  /// C[m, n()] (+)= A * B for A already quantized.
+  void multiply(const Rows& a, float* c, std::int64_t m, bool accumulate) const;
   struct Block {
     std::int64_t pc, kc;      // K-range [pc, pc+kc)
     std::int64_t jc, nc;      // N-range [jc, jc+nc)
@@ -176,6 +227,12 @@ class QuantizedPackedB {
 /// pre-quantized; int32 accumulation, fused dequant-to-float epilogue.
 /// Results are bitwise identical across dispatch tiers.
 void gemm_packed_int8(MatView a, const QuantizedPackedB& b, float* c,
+                      std::int64_t m, bool accumulate);
+
+/// The same product with A the implicit im2row matrix of `a`, each receptive
+/// field gathered into an L1-resident row before it is quantized. Bitwise
+/// equal to gemm_packed_int8 over the materialised im2row rows.
+void gemm_packed_int8(PatchView a, const QuantizedPackedB& b, float* c,
                       std::int64_t m, bool accumulate);
 
 }  // namespace ullsnn

@@ -119,63 +119,9 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 }
 
 // ---------------------------------------------------------------------------
-// im2col / im2row and their inverses.
+// im2row and its inverse, for conv2d_backward. The conv forwards read their
+// GEMM operand straight from the image instead (gemm.h PatchView).
 // ---------------------------------------------------------------------------
-
-void im2col(const float* img, float* cols, std::int64_t channels,
-            std::int64_t height, std::int64_t width, const Conv2dSpec& spec) {
-  const std::int64_t oh = spec.out_extent(height);
-  const std::int64_t ow = spec.out_extent(width);
-  const std::int64_t k = spec.kernel;
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    const float* ch = img + c * height * width;
-    for (std::int64_t ky = 0; ky < k; ++ky) {
-      for (std::int64_t kx = 0; kx < k; ++kx, ++row) {
-        float* out_row = cols + row * oh * ow;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * spec.stride + ky - spec.pad;
-          float* dst = out_row + oy * ow;
-          if (iy < 0 || iy >= height) {
-            std::memset(dst, 0, static_cast<std::size_t>(ow) * sizeof(float));
-            continue;
-          }
-          const float* src_row = ch + iy * width;
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const std::int64_t ix = ox * spec.stride + kx - spec.pad;
-            dst[ox] = (ix >= 0 && ix < width) ? src_row[ix] : 0.0F;
-          }
-        }
-      }
-    }
-  }
-}
-
-void col2im(const float* cols, float* img, std::int64_t channels,
-            std::int64_t height, std::int64_t width, const Conv2dSpec& spec) {
-  const std::int64_t oh = spec.out_extent(height);
-  const std::int64_t ow = spec.out_extent(width);
-  const std::int64_t k = spec.kernel;
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    float* ch = img + c * height * width;
-    for (std::int64_t ky = 0; ky < k; ++ky) {
-      for (std::int64_t kx = 0; kx < k; ++kx, ++row) {
-        const float* in_row = cols + row * oh * ow;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * spec.stride + ky - spec.pad;
-          if (iy < 0 || iy >= height) continue;
-          const float* src = in_row + oy * ow;
-          float* dst_row = ch + iy * width;
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const std::int64_t ix = ox * spec.stride + kx - spec.pad;
-            if (ix >= 0 && ix < width) dst_row[ix] += src[ox];
-          }
-        }
-      }
-    }
-  }
-}
 
 namespace {
 
@@ -318,6 +264,59 @@ void check_conv_input(const Tensor& input, const Conv2dSpec& spec,
   }
 }
 
+/// PatchView column offsets into a zero-bordered [C, H+2p, W+2p] image, in
+/// im2row column order. They depend only on the geometry, so one table from
+/// the calling thread's arena serves every sample of a call.
+const std::int64_t* patch_offsets(const Conv2dSpec& spec, std::int64_t height,
+                                  std::int64_t width, Arena& arena) {
+  const std::int64_t k = spec.kernel;
+  const std::int64_t hp = height + 2 * spec.pad;
+  const std::int64_t wp = width + 2 * spec.pad;
+  std::int64_t* offsets =
+      arena.alloc_indices(static_cast<std::size_t>(spec.in_channels * k * k));
+  std::int64_t* o = offsets;
+  for (std::int64_t c = 0; c < spec.in_channels; ++c) {
+    for (std::int64_t ky = 0; ky < k; ++ky) {
+      for (std::int64_t kx = 0; kx < k; ++kx) *o++ = (c * hp + ky) * wp + kx;
+    }
+  }
+  return offsets;
+}
+
+/// Dense convolution of one sample: out_t[OHW, Cout] = im2row(img) * W^T,
+/// bitwise, through the int8 panels when `qweight` is given, else the fp32
+/// `panels`. A is read straight from a zero-bordered copy of the image made
+/// in `arena` (the image itself when there is no padding).
+void conv_sample_dense(const float* img, const std::int64_t* offsets,
+                       const PackedB* panels, const QuantizedPackedB* qweight,
+                       float* out_t, const Conv2dSpec& spec, std::int64_t height,
+                       std::int64_t width, Arena& arena) {
+  const std::int64_t pad = spec.pad;
+  const std::int64_t hp = height + 2 * pad;
+  const std::int64_t wp = width + 2 * pad;
+  const float* image = img;
+  if (pad > 0) {
+    float* padded =
+        arena.alloc_floats_zeroed(static_cast<std::size_t>(spec.in_channels * hp * wp));
+    for (std::int64_t c = 0; c < spec.in_channels; ++c) {
+      for (std::int64_t y = 0; y < height; ++y) {
+        std::memcpy(padded + (c * hp + y + pad) * wp + pad,
+                    img + (c * height + y) * width,
+                    static_cast<std::size_t>(width) * sizeof(float));
+      }
+    }
+    image = padded;
+  }
+  const std::int64_t ow = spec.out_extent(width);
+  const PatchView patches{image, offsets, ow, spec.stride, wp};
+  const std::int64_t ohw = spec.out_extent(height) * ow;
+  if (qweight != nullptr) {
+    gemm_packed_int8(patches, *qweight, out_t, ohw, /*accumulate=*/false);
+  } else {
+    gemm_packed(patches, *panels, out_t, ohw, /*accumulate=*/false);
+  }
+}
+
 }  // namespace
 
 void conv2d_forward(const Tensor& input, const Tensor& weight,
@@ -336,15 +335,15 @@ void conv2d_forward(const Tensor& input, const Tensor& weight,
   ArenaScope scope(arena);
   PackedB wt_packed;
   wt_packed.pack(transposed(weight.data(), patch), patch, spec.out_channels, arena);
+  const std::int64_t* offsets = patch_offsets(spec, height, width, arena);
   const float* bias_data = bias.empty() ? nullptr : bias.data();
   const auto run_sample = [&](std::int64_t n) {
     Arena& local = thread_arena();
     ArenaScope sample_scope(local);
     const float* img = input.data() + n * spec.in_channels * height * width;
-    float* rows = local.alloc_floats(static_cast<std::size_t>(ohw * patch));
-    im2row(img, rows, spec.in_channels, height, width, spec);
     float* out_t = local.alloc_floats(static_cast<std::size_t>(ohw * spec.out_channels));
-    gemm_packed(row_major(rows, patch), wt_packed, out_t, ohw, /*accumulate=*/false);
+    conv_sample_dense(img, offsets, &wt_packed, nullptr, out_t, spec, height, width,
+                      local);
     transpose_to_nchw(out_t, output.data() + n * spec.out_channels * ohw, bias_data,
                       spec.out_channels, ohw);
   };
@@ -532,6 +531,7 @@ void conv_spiking(const Tensor& input, const float* wt, const PackedB* panels,
     wt_packed.pack(row_major(wt, cout), patch, cout, arena);
     panels = &wt_packed;
   }
+  const std::int64_t* offsets = patch_offsets(spec, height, width, arena);
   std::int64_t* nnz = arena.alloc_indices(static_cast<std::size_t>(batch));
   const auto run_sample = [&](std::int64_t n) {
     Arena& local = thread_arena();
@@ -548,14 +548,7 @@ void conv_spiking(const Tensor& input, const float* wt, const PackedB* panels,
       std::memset(out_t, 0, static_cast<std::size_t>(ohw * cout) * sizeof(float));
       conv_sample_sparse(img, wt, out_t, spec, height, width);
     } else {
-      float* rows = local.alloc_floats(static_cast<std::size_t>(ohw * patch));
-      im2row(img, rows, spec.in_channels, height, width, spec);
-      if (qweight != nullptr) {
-        gemm_packed_int8(row_major(rows, patch), *qweight, out_t, ohw,
-                         /*accumulate=*/false);
-      } else {
-        gemm_packed(row_major(rows, patch), *panels, out_t, ohw, /*accumulate=*/false);
-      }
+      conv_sample_dense(img, offsets, panels, qweight, out_t, spec, height, width, local);
     }
     transpose_to_nchw(out_t, output.data() + n * cout * ohw, nullptr, cout, ohw);
   };
@@ -778,6 +771,26 @@ void maxpool2d_forward(const Tensor& input, Tensor& output, const Pool2dSpec& sp
     const float* plane = input.data() + nc * height * width;
     const std::int64_t plane_base = nc * height * width;
     std::int64_t out_idx = nc * oh * ow;
+    if (best_at == nullptr && spec.kernel == 2 && spec.stride == 2) {
+      // Eval 2x2/2 body (every max pool in the model zoo): the generic
+      // loop's compare chain from -inf in window order, unrolled, so the
+      // compiler vectorizes it across ox and NaN, ties and signed zeros
+      // still resolve exactly as below.
+      for (std::int64_t oy = 0; oy < oh; ++oy, out_idx += ow) {
+        const float* r0 = plane + 2 * oy * width;
+        const float* r1 = r0 + width;
+        float* dst = out + out_idx;
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          float best = -std::numeric_limits<float>::infinity();
+          best = r0[2 * ox] > best ? r0[2 * ox] : best;
+          best = r0[2 * ox + 1] > best ? r0[2 * ox + 1] : best;
+          best = r1[2 * ox] > best ? r1[2 * ox] : best;
+          best = r1[2 * ox + 1] > best ? r1[2 * ox + 1] : best;
+          dst[ox] = best;
+        }
+      }
+      return;
+    }
     for (std::int64_t oy = 0; oy < oh; ++oy) {
       for (std::int64_t ox = 0; ox < ow; ++ox, ++out_idx) {
         float best = -std::numeric_limits<float>::infinity();

@@ -1,15 +1,17 @@
-// Hot numeric kernels: GEMM, im2row convolution (forward + both backward
-// passes), pooling, and the sparsity-aware spike dispatch. Everything is
-// NCHW, float32.
+// Hot numeric kernels: GEMM, convolution (forward + both backward passes),
+// pooling, and the sparsity-aware spike dispatch. Everything is NCHW,
+// float32.
 //
 // The dense paths route through the cache-blocked, panel-packed GEMM in
 // gemm.h (tiny shapes fall back to the retained naive kernels). Convolution
 // packs the weight operand's panels once per call and reuses them across the
-// batch-sample loop. Batch-level parallelism via the process-wide ThreadPool
-// (util/parallel.h) is bitwise-deterministic at any thread count: samples
-// write disjoint slices, and conv2d_backward reduces per-sample gradient
-// partials in fixed index order. Scratch comes from the per-thread Arena
-// (arena.h) — steady-state calls perform no heap allocation.
+// batch-sample loop; the forwards (fp32 and int8) read the image side
+// straight from a zero-bordered copy of each sample (no im2row matrix).
+// Batch-level parallelism via the process-wide ThreadPool (util/parallel.h)
+// is bitwise-deterministic at any thread count: samples write disjoint
+// slices, and conv2d_backward reduces per-sample gradient partials in fixed
+// index order. Scratch comes from the per-thread Arena (arena.h) —
+// steady-state calls perform no heap allocation.
 //
 // The *_spiking entry points add a density-based dispatch for SNN inference:
 // inputs below the density threshold take a row-compressed sparse kernel
@@ -68,18 +70,10 @@ struct Conv2dSpec {
   }
 };
 
-/// Unpack one sample's [C,H,W] image into columns [C*K*K, OH*OW].
-void im2col(const float* img, float* cols, std::int64_t channels,
-            std::int64_t height, std::int64_t width, const Conv2dSpec& spec);
-
-/// Inverse of im2col: accumulate columns back into the [C,H,W] image buffer.
-/// The image buffer must be zeroed by the caller.
-void col2im(const float* cols, float* img, std::int64_t channels,
-            std::int64_t height, std::int64_t width, const Conv2dSpec& spec);
-
-/// im2col's transpose: unpack one sample's [C,H,W] image into rows
-/// [OH*OW, C*K*K] — one receptive field per row. This is the layout the
-/// blocked conv path uses (GEMM against the packed [C*K*K, Cout] weight).
+/// Unpack one sample's [C,H,W] image into rows [OH*OW, C*K*K] — one
+/// receptive field per row, zero where the window overhangs the border.
+/// conv2d_backward's lowering; the conv forwards read the same values
+/// straight from the image instead (gemm.h PatchView).
 void im2row(const float* img, float* rows, std::int64_t channels,
             std::int64_t height, std::int64_t width, const Conv2dSpec& spec);
 

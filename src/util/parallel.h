@@ -2,7 +2,7 @@
 //
 // The reference benches run single-core (DESIGN.md), so everything defaults
 // to serial execution; callers opt in via set_num_threads(n). Parallelism is
-// exposed at the batch-sample level (conv2d_forward's per-sample im2col+GEMM
+// exposed at the batch-sample level (conv2d_forward's per-sample GEMM
 // loop), which is embarrassingly parallel and keeps all kernels bitwise
 // deterministic regardless of thread count.
 #pragma once

@@ -1,17 +1,22 @@
 // Kernel-equivalence suite (`ctest -L kernels`): the blocked/packed GEMM,
-// the im2row conv paths, the sparse spike kernels, and the arena are all
-// checked against the retained naive kernels (and double-precision
-// references) across a geometry matrix of odd sizes, strides, pads, and
-// k=1 cases. Also pins the determinism contract: conv2d_backward gradients
+// the conv paths, the sparse spike kernels, and the arena are all checked
+// against the retained naive kernels (and double-precision references)
+// across a geometry matrix of odd sizes, strides, pads, and k=1 cases; the
+// patch-packed dense conv forward is pinned bitwise to the im2row lowering
+// on every kernel tier. Also pins the determinism contract: conv2d_backward gradients
 // are bitwise identical at 1 and 4 threads.
 #include "src/tensor/gemm.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/tensor/arena.h"
+#include "src/tensor/dispatch.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/random.h"
 #include "src/util/parallel.h"
@@ -264,30 +269,43 @@ TEST(SpikingLinearKernelTest, WtCacheSurvivesRepeatCallsAndStatsAccumulate) {
 
 // ---- im2row / row2im ----
 
-TEST(Im2rowTest, AgreesWithIm2colTransposed) {
-  Conv2dSpec spec{2, 1, 3, 2, 1};
-  const std::int64_t h = 7, w = 5;
-  Rng rng(20);
-  Tensor img({1, 2, h, w});
-  uniform_fill(img, -1.0F, 1.0F, rng);
-  const std::int64_t oh = spec.out_extent(h), ow = spec.out_extent(w);
-  const std::int64_t patch = 2 * 3 * 3;
-  std::vector<float> cols(static_cast<std::size_t>(patch * oh * ow));
-  std::vector<float> rows(static_cast<std::size_t>(oh * ow * patch));
-  im2col(img.data(), cols.data(), 2, h, w, spec);
-  im2row(img.data(), rows.data(), 2, h, w, spec);
-  for (std::int64_t p = 0; p < patch; ++p) {
-    for (std::int64_t px = 0; px < oh * ow; ++px) {
-      EXPECT_FLOAT_EQ(rows[static_cast<std::size_t>(px * patch + p)],
-                      cols[static_cast<std::size_t>(p * oh * ow + px)]);
+TEST(Im2rowTest, AgreesWithIndexFormula) {
+  // rows[(oy*OW + ox)*patch + (c*K + ky)*K + kx] = img[c, oy*s+ky-p, ox*s+kx-p]
+  // (0 outside the image), and row2im scatters every entry back there.
+  for (const Conv2dSpec spec : {Conv2dSpec{2, 1, 3, 2, 1}, Conv2dSpec{2, 1, 3, 1, 1},
+                                Conv2dSpec{2, 1, 5, 1, 2}, Conv2dSpec{2, 1, 1, 2, 0}}) {
+    const std::int64_t c_in = spec.in_channels, k = spec.kernel;
+    const std::int64_t h = 7, w = 5;
+    Rng rng(20);
+    Tensor img({1, c_in, h, w});
+    uniform_fill(img, -1.0F, 1.0F, rng);
+    const std::int64_t oh = spec.out_extent(h), ow = spec.out_extent(w);
+    const std::int64_t patch = c_in * k * k;
+    std::vector<float> rows(static_cast<std::size_t>(oh * ow * patch), 7.0F);
+    im2row(img.data(), rows.data(), c_in, h, w, spec);
+    Tensor expected_back({1, c_in, h, w});
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox) {
+        for (std::int64_t c = 0; c < c_in; ++c) {
+          for (std::int64_t ky = 0; ky < k; ++ky) {
+            for (std::int64_t kx = 0; kx < k; ++kx) {
+              const std::int64_t iy = oy * spec.stride + ky - spec.pad;
+              const std::int64_t ix = ox * spec.stride + kx - spec.pad;
+              const bool inside = iy >= 0 && iy < h && ix >= 0 && ix < w;
+              const float v = inside ? img.at(0, c, iy, ix) : 0.0F;
+              const float r = rows[static_cast<std::size_t>(
+                  (oy * ow + ox) * patch + (c * k + ky) * k + kx)];
+              EXPECT_EQ(r, v) << "k" << k << " s" << spec.stride << " p" << spec.pad;
+              if (inside) expected_back.at(0, c, iy, ix) += r;
+            }
+          }
+        }
+      }
     }
+    Tensor back({1, c_in, h, w});
+    row2im(rows.data(), back.data(), c_in, h, w, spec);
+    EXPECT_TRUE(back.allclose(expected_back, 1e-6F));
   }
-  // row2im must invert like col2im does.
-  Tensor back_rows({1, 2, h, w});
-  Tensor back_cols({1, 2, h, w});
-  row2im(rows.data(), back_rows.data(), 2, h, w, spec);
-  col2im(cols.data(), back_cols.data(), 2, h, w, spec);
-  EXPECT_TRUE(back_rows.allclose(back_cols, 1e-6F));
 }
 
 // ---- determinism ----
@@ -295,6 +313,16 @@ TEST(Im2rowTest, AgreesWithIm2colTransposed) {
 class ThreadGuard {
  public:
   ~ThreadGuard() { set_num_threads(1); }
+};
+
+/// RAII: restore the entry kernel tier after a forced-tier test.
+class IsaGuard {
+ public:
+  IsaGuard() : entry_(active_kernel_isa()) {}
+  ~IsaGuard() { set_kernel_isa_for_testing(entry_); }
+
+ private:
+  KernelIsa entry_;
 };
 
 TEST(DeterminismTest, ConvBackwardBitwiseIdentical1v4Threads) {
@@ -347,6 +375,132 @@ TEST(DeterminismTest, SpikingConvBitwiseIdentical1v4Threads) {
   EXPECT_EQ(stats1.nonzeros, stats4.nonzeros);
   EXPECT_EQ(stats1.sparse_samples, stats4.sparse_samples);
 }
+
+// ---- patch-packed dense conv ----
+
+/// The im2row lowering the dense conv forwards used to run, as the bitwise
+/// reference: per sample, out_t = im2row(x) * W^T through gemm_packed (or
+/// gemm_packed_int8 against `int8` when given), then
+/// out[co, p] = out_t[p, co] + bias[co] (+ 0 without a bias, as the kernels
+/// add it).
+Tensor im2row_gemm_conv(const Tensor& input, const Tensor& weight, const float* bias,
+                        const Conv2dSpec& spec,
+                        const QuantizedPackedB* int8 = nullptr) {
+  const std::int64_t batch = input.dim(0), h = input.dim(2), w = input.dim(3);
+  const std::int64_t oh = spec.out_extent(h), ow = spec.out_extent(w), ohw = oh * ow;
+  const std::int64_t cout = spec.out_channels;
+  const std::int64_t patch = spec.in_channels * spec.kernel * spec.kernel;
+  Arena& arena = thread_arena();
+  ArenaScope scope(arena);
+  PackedB wt;
+  wt.pack(transposed(weight.data(), patch), patch, cout, arena);
+  std::vector<float> rows(static_cast<std::size_t>(ohw * patch));
+  std::vector<float> out_t(static_cast<std::size_t>(ohw * cout));
+  Tensor out({batch, cout, oh, ow});
+  for (std::int64_t n = 0; n < batch; ++n) {
+    im2row(input.data() + n * spec.in_channels * h * w, rows.data(), spec.in_channels,
+           h, w, spec);
+    if (int8 != nullptr) {
+      gemm_packed_int8(row_major(rows.data(), patch), *int8, out_t.data(), ohw,
+                       /*accumulate=*/false);
+    } else {
+      gemm_packed(row_major(rows.data(), patch), wt, out_t.data(), ohw,
+                  /*accumulate=*/false);
+    }
+    for (std::int64_t co = 0; co < cout; ++co) {
+      const float b = bias != nullptr ? bias[co] : 0.0F;
+      for (std::int64_t p = 0; p < ohw; ++p) {
+        out[(n * cout + co) * ohw + p] = out_t[static_cast<std::size_t>(p * cout + co)] + b;
+      }
+    }
+  }
+  return out;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+class PatchPackedConvTest : public ::testing::TestWithParam<KernelIsa> {};
+
+TEST_P(PatchPackedConvTest, BitwiseEqualToIm2rowGemm) {
+  // Every dense conv forward must give exactly the bits of the im2row
+  // lowering: conv2d_forward with and without bias, and both dense
+  // conv2d_forward_spiking forms at fp32 and at int8. The grid covers
+  // kernel {1,3,5} x stride {1,2} x pad {0,1,2} on non-square images, OH*OW
+  // not a multiple of the 6-row panel, more than one 96-row block (11x10),
+  // and Cin 64 with k 3 (K = 576, three K blocks).
+  struct Geometry {
+    std::int64_t cin, cout, h, w;
+  };
+  std::vector<std::pair<Conv2dSpec, Geometry>> cases;
+  for (const std::int64_t k : {1, 3, 5}) {
+    for (const std::int64_t stride : {1, 2}) {
+      for (const std::int64_t pad : {0, 1, 2}) {
+        cases.push_back({Conv2dSpec{3, 20, k, stride, pad}, Geometry{3, 20, 9, 7}});
+        cases.push_back({Conv2dSpec{2, 37, k, stride, pad}, Geometry{2, 37, 11, 10}});
+      }
+    }
+  }
+  cases.push_back({Conv2dSpec{64, 24, 3, 1, 1}, Geometry{64, 24, 7, 5}});
+  cases.push_back({Conv2dSpec{64, 40, 3, 2, 1}, Geometry{64, 40, 6, 9}});
+  IsaGuard isa_guard;
+  ThreadGuard thread_guard;
+  set_kernel_isa_for_testing(GetParam());
+  for (const auto& [spec, g] : cases) {
+    Rng rng(31);
+    Tensor input({3, g.cin, g.h, g.w});
+    Tensor weight({g.cout, g.cin, spec.kernel, spec.kernel});
+    Tensor bias({g.cout});
+    uniform_fill(input, -1.0F, 1.0F, rng);
+    uniform_fill(weight, -0.5F, 0.5F, rng);
+    uniform_fill(bias, -0.5F, 0.5F, rng);
+    const Tensor with_bias = im2row_gemm_conv(input, weight, bias.data(), spec);
+    const Tensor no_bias = im2row_gemm_conv(input, weight, nullptr, spec);
+    const std::int64_t patch = g.cin * spec.kernel * spec.kernel;
+    const PreparedWeight prepared(weight.data(), g.cout, patch, Precision::kFp32);
+    const PreparedWeight prepared_int8(weight.data(), g.cout, patch, Precision::kInt8);
+    const Tensor int8 =
+        im2row_gemm_conv(input, weight, nullptr, spec, prepared_int8.int8_panels());
+    for (const int threads : {1, 2}) {
+      set_num_threads(threads);
+      const std::string where = std::string(to_string(GetParam())) + " threads " +
+                                std::to_string(threads) + " k" +
+                                std::to_string(spec.kernel) + " s" +
+                                std::to_string(spec.stride) + " p" +
+                                std::to_string(spec.pad) + " cin " +
+                                std::to_string(g.cin) + " " + std::to_string(g.h) +
+                                "x" + std::to_string(g.w);
+      Tensor out(with_bias.shape());
+      conv2d_forward(input, weight, bias, out, spec);
+      EXPECT_TRUE(bitwise_equal(out, with_bias)) << "conv2d_forward+bias " << where;
+      conv2d_forward(input, weight, Tensor(), out, spec);
+      EXPECT_TRUE(bitwise_equal(out, no_bias)) << "conv2d_forward " << where;
+      // Threshold -1: every sample takes the dense path.
+      SpikeKernelStats stats;
+      conv2d_forward_spiking(input, prepared, out, spec, -1.0F, Precision::kFp32, stats);
+      EXPECT_TRUE(bitwise_equal(out, no_bias)) << "prepared spiking " << where;
+      std::vector<float> wt_cache;
+      conv2d_forward_spiking(input, weight, out, spec, -1.0F, wt_cache, stats);
+      EXPECT_TRUE(bitwise_equal(out, no_bias)) << "per-call spiking " << where;
+      conv2d_forward_spiking(input, prepared_int8, out, spec, -1.0F, Precision::kInt8,
+                             stats);
+      EXPECT_TRUE(bitwise_equal(out, int8)) << "prepared int8 spiking " << where;
+      conv2d_forward_spiking(input, weight, out, spec, -1.0F, wt_cache, stats,
+                             prepared_int8.int8_panels());
+      EXPECT_TRUE(bitwise_equal(out, int8)) << "per-call int8 spiking " << where;
+      EXPECT_EQ(stats.dense_samples, 12);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSupportedTiers, PatchPackedConvTest,
+                         ::testing::ValuesIn(supported_kernel_isas()),
+                         [](const ::testing::TestParamInfo<KernelIsa>& info) {
+                           return to_string(info.param);
+                         });
 
 // ---- arena ----
 

@@ -8,9 +8,16 @@
 #include <vector>
 
 #include "src/tensor/random.h"
+#include "src/util/parallel.h"
 
 namespace ullsnn {
 namespace {
+
+/// RAII: back to one pool thread after a test that changes the count.
+class ThreadGuard {
+ public:
+  ~ThreadGuard() { set_num_threads(1); }
+};
 
 // Reference O(n^3) matmul for cross-checking the optimized kernels.
 void naive_matmul(const float* a, const float* b, float* c, std::int64_t m,
@@ -83,12 +90,9 @@ TEST(MatmulTest, TensorOverloadChecksShapes) {
   EXPECT_FLOAT_EQ(ok[0], 3.0F);
 }
 
-TEST(Im2colTest, RoundTripConservesMass) {
-  // col2im(im2col(x)) multiplies each pixel by the number of windows
-  // containing it; total mass relation: sum(cols) == sum(col2im result
-  // applied to ones)? Simpler invariant: sum(cols) equals sum over pixels of
-  // (pixel value * windows containing it), which equals sum(col2im(ones as
-  // cols) * x). We verify with an explicit small case instead.
+TEST(Im2rowTest, RoundTripConservesMass) {
+  // row2im(im2row(x)) multiplies each pixel by the number of 3x3 windows
+  // containing it: 4 at a corner, 6 on an edge, 9 in the centre.
   Conv2dSpec spec;
   spec.in_channels = 1;
   spec.out_channels = 1;
@@ -99,26 +103,23 @@ TEST(Im2colTest, RoundTripConservesMass) {
   for (std::int64_t i = 0; i < 9; ++i) img[i] = static_cast<float>(i + 1);
   const std::int64_t oh = spec.out_extent(3);
   ASSERT_EQ(oh, 3);
-  std::vector<float> cols(static_cast<std::size_t>(9 * 9), 0.0F);
-  im2col(img.data(), cols.data(), 1, 3, 3, spec);
-  // Center kernel position (ky=1,kx=1) row must equal the image itself.
-  const float* center = cols.data() + 4 * 9;
-  for (std::int64_t i = 0; i < 9; ++i) EXPECT_FLOAT_EQ(center[i], img[i]);
-  // Top-left kernel position (ky=0,kx=0): output (0,0) looks at (-1,-1) -> 0.
-  EXPECT_FLOAT_EQ(cols[0], 0.0F);
-  // Output (1,1) at (ky=0,kx=0) looks at pixel (0,0) = 1.
-  EXPECT_FLOAT_EQ(cols[4], 1.0F);
+  std::vector<float> rows(static_cast<std::size_t>(9 * 9), 0.0F);
+  im2row(img.data(), rows.data(), 1, 3, 3, spec);
+  // The centre tap (ky=1,kx=1; column 4) of every row is the image itself.
+  for (std::int64_t i = 0; i < 9; ++i) EXPECT_FLOAT_EQ(rows[i * 9 + 4], img[i]);
+  // Output (0,0)'s top-left tap looks at (-1,-1) -> 0.
+  EXPECT_FLOAT_EQ(rows[0], 0.0F);
+  // Output (1,1)'s top-left tap looks at pixel (0,0) = 1.
+  EXPECT_FLOAT_EQ(rows[4 * 9 + 0], 1.0F);
 
   Tensor back({1, 1, 3, 3});
-  col2im(cols.data(), back.data(), 1, 3, 3, spec);
-  // Each pixel is counted once per window that contains it. Corner pixel
-  // (0,0) is in 4 windows, edge in 6, center in 9.
+  row2im(rows.data(), back.data(), 1, 3, 3, spec);
   EXPECT_FLOAT_EQ(back[0], 4.0F * img[0]);
   EXPECT_FLOAT_EQ(back[1], 6.0F * img[1]);
   EXPECT_FLOAT_EQ(back[4], 9.0F * img[4]);
 }
 
-// Direct (no im2col) convolution reference.
+// Direct (no im2row) convolution reference.
 void naive_conv(const Tensor& input, const Tensor& weight, Tensor& output,
                 const Conv2dSpec& spec) {
   const std::int64_t batch = input.dim(0);
@@ -276,8 +277,11 @@ TEST(PoolTest, MaxPoolOnNegativeValues) {
 TEST(PoolTest, MaxPoolWithoutArgmaxIsBitwiseEqual) {
   // Eval pools without index tracking; the values must be the tracked ones.
   // The 2x2 windows along the top of plane 0 hold ties, signed-zero ties,
-  // all-negative values, NaN and all -inf; the rest is random and signed.
-  // The 3x3/2 pass reuses the input with overlapping windows.
+  // all-negative values, NaN and all -inf; the rest is random and signed,
+  // with about one value in eight replaced by NaN, +-0, -inf or a tie. The
+  // widths give the 2x2/2 eval body vector tails (3, 9 and 17 outputs per
+  // row), every shape has several planes, and each runs serially and
+  // plane-parallel. The 3x3/2 pass reuses the input with overlapping windows.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   const std::vector<std::vector<float>> windows = {{1.0F, 1.0F, 1.0F, 1.0F},
@@ -285,28 +289,47 @@ TEST(PoolTest, MaxPoolWithoutArgmaxIsBitwiseEqual) {
                                                    {-5.0F, -1.0F, -3.0F, -1.0F},
                                                    {nan, 2.0F, nan, -inf},
                                                    {-inf, -inf, -inf, -inf}};
-  Tensor input({2, 3, 10, 10});
-  Rng rng(17);
-  uniform_fill(input, -2.0F, 2.0F, rng);
-  for (std::size_t w = 0; w < windows.size(); ++w) {
-    const auto x = static_cast<std::int64_t>(2 * w);
-    input.at(0, 0, 0, x) = windows[w][0];
-    input.at(0, 0, 0, x + 1) = windows[w][1];
-    input.at(0, 0, 1, x) = windows[w][2];
-    input.at(0, 0, 1, x + 1) = windows[w][3];
-  }
-  for (const Pool2dSpec spec : {Pool2dSpec{2, 2}, Pool2dSpec{3, 2}}) {
-    const Shape out_shape = {2, 3, spec.out_extent(10), spec.out_extent(10)};
-    Tensor tracked(out_shape);
-    Tensor plain(out_shape, 7.0F);
-    std::vector<std::int64_t> argmax;
-    maxpool2d_forward(input, tracked, spec, &argmax);
-    maxpool2d_forward(input, plain, spec);
-    ASSERT_EQ(argmax.size(), static_cast<std::size_t>(tracked.numel()));
-    EXPECT_EQ(std::memcmp(tracked.data(), plain.data(),
-                          static_cast<std::size_t>(tracked.numel()) * sizeof(float)),
-              0)
-        << "kernel " << spec.kernel;
+  const std::vector<float> specials = {nan, -0.0F, 0.0F, -inf, 1.0F};
+  const std::vector<Shape> shapes = {
+      {2, 3, 10, 10}, {3, 5, 6, 6}, {2, 4, 8, 18}, {1, 6, 34, 34}};
+  ThreadGuard guard;
+  for (const Shape& shape : shapes) {
+    Tensor input(shape);
+    Rng rng(17);
+    uniform_fill(input, -2.0F, 2.0F, rng);
+    for (std::int64_t i = 0; i < input.numel(); ++i) {
+      if (rng.uniform_int(8) == 0) {
+        input[i] = specials[static_cast<std::size_t>(
+            rng.uniform_int(static_cast<std::int64_t>(specials.size())))];
+      }
+    }
+    for (std::size_t w = 0; w < windows.size(); ++w) {
+      const auto x = static_cast<std::int64_t>(2 * w);
+      if (x + 1 >= shape[3]) break;
+      input.at(0, 0, 0, x) = windows[w][0];
+      input.at(0, 0, 0, x + 1) = windows[w][1];
+      input.at(0, 0, 1, x) = windows[w][2];
+      input.at(0, 0, 1, x + 1) = windows[w][3];
+    }
+    for (const Pool2dSpec spec : {Pool2dSpec{2, 2}, Pool2dSpec{3, 2}}) {
+      const Shape out_shape = {shape[0], shape[1], spec.out_extent(shape[2]),
+                               spec.out_extent(shape[3])};
+      set_num_threads(1);
+      Tensor tracked(out_shape);
+      std::vector<std::int64_t> argmax;
+      maxpool2d_forward(input, tracked, spec, &argmax);
+      ASSERT_EQ(argmax.size(), static_cast<std::size_t>(tracked.numel()));
+      for (const int threads : {1, 2}) {
+        set_num_threads(threads);
+        Tensor plain(out_shape, 7.0F);
+        maxpool2d_forward(input, plain, spec);
+        EXPECT_EQ(std::memcmp(tracked.data(), plain.data(),
+                              static_cast<std::size_t>(tracked.numel()) * sizeof(float)),
+                  0)
+            << "kernel " << spec.kernel << " shape " << shape_to_string(shape)
+            << " threads " << threads;
+      }
+    }
   }
 }
 
