@@ -6,7 +6,15 @@
 #include <stdexcept>
 
 #if (defined(__AVX2__) && defined(__FMA__)) || defined(__AVX512F__)
+// GCC 12's AVX-512 intrinsics pass `_mm512_undefined_*()` (a self-initialized
+// local) as the unused merge operand, which -Wmaybe-uninitialized reports at
+// every inlined call site; the warnings point into the header, not at this
+// file's code.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 #endif
 
 #include "src/obs/metrics.h"
@@ -155,13 +163,201 @@ void quantize_row_u8(const float* src, std::int64_t stride, std::uint8_t* dst,
   }
 }
 
+/// Quantization parameters of one activation row with range [lo, hi] (which
+/// always holds 0): scale = (hi - lo) / 127 and q = clamp(zp + round(x * inv)).
+/// An all-zero row gets scale 0, inv 0 and zp 0.
+void row_quant_params(float lo, float hi, float& scale, float& inv, std::int32_t& zp) {
+  scale = 0.0F;
+  inv = 0.0F;
+  zp = 0;
+  if (hi != lo) {
+    scale = (hi - lo) / 127.0F;
+    inv = 127.0F / (hi - lo);
+    zp = static_cast<std::int32_t>(std::clamp<long>(std::lrintf(-lo * inv), 0, 127));
+  }
+}
+
+// A vector of adjacent output pixels for the int8 patch quantizer: one lane
+// per A row, min/max and quantization exactly as the per-row code does them
+// (vcvtps2dq rounds to nearest-even like lrintf), and a masked store of one
+// 4-byte k-quad word per lane.
+#if defined(__AVX512F__)
+#define ULLSNN_PIXEL_LANES 1
+struct PixelLanes {
+  static constexpr std::int64_t kCount = 16;
+  using Floats = __m512;
+  using Ints = __m512i;
+  using Mask = __mmask16;
+  static Floats load(const float* p) { return _mm512_loadu_ps(p); }
+  static Ints load(const std::int32_t* p) { return _mm512_loadu_si512(p); }
+  static void store(float* p, Floats v) { _mm512_storeu_ps(p, v); }
+  static Floats zero() { return _mm512_setzero_ps(); }
+  static Floats min(Floats a, Floats b) { return _mm512_min_ps(a, b); }
+  static Floats max(Floats a, Floats b) { return _mm512_max_ps(a, b); }
+  static Ints quantize(Floats x, Floats inv, Ints zp) {
+    const Ints q = _mm512_add_epi32(_mm512_cvtps_epi32(_mm512_mul_ps(x, inv)), zp);
+    return _mm512_min_epi32(_mm512_max_epi32(q, _mm512_setzero_si512()),
+                            _mm512_set1_epi32(127));
+  }
+  /// w | q << (8 * kByte): q's lanes become byte kByte of each word.
+  template <int kByte>
+  static Ints put_byte(Ints w, Ints q) {
+    return _mm512_or_si512(w, _mm512_slli_epi32(q, 8 * kByte));
+  }
+  static Mask lanes(std::int64_t first, std::int64_t count) {
+    return static_cast<Mask>(((1U << count) - 1U) << first);
+  }
+  static void store(std::uint8_t* p, Mask m, Ints w) { _mm512_mask_storeu_epi32(p, m, w); }
+};
+#elif defined(__AVX2__) && defined(__FMA__)
+#define ULLSNN_PIXEL_LANES 1
+struct PixelLanes {
+  static constexpr std::int64_t kCount = 8;
+  using Floats = __m256;
+  using Ints = __m256i;
+  using Mask = __m256i;
+  static Floats load(const float* p) { return _mm256_loadu_ps(p); }
+  static Ints load(const std::int32_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  static void store(float* p, Floats v) { _mm256_storeu_ps(p, v); }
+  static Floats zero() { return _mm256_setzero_ps(); }
+  static Floats min(Floats a, Floats b) { return _mm256_min_ps(a, b); }
+  static Floats max(Floats a, Floats b) { return _mm256_max_ps(a, b); }
+  static Ints quantize(Floats x, Floats inv, Ints zp) {
+    const Ints q = _mm256_add_epi32(_mm256_cvtps_epi32(_mm256_mul_ps(x, inv)), zp);
+    return _mm256_min_epi32(_mm256_max_epi32(q, _mm256_setzero_si256()),
+                            _mm256_set1_epi32(127));
+  }
+  template <int kByte>
+  static Ints put_byte(Ints w, Ints q) {
+    return _mm256_or_si256(w, _mm256_slli_epi32(q, 8 * kByte));
+  }
+  static Mask lanes(std::int64_t first, std::int64_t count) {
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const auto lo = static_cast<int>(first);
+    const auto hi = static_cast<int>(first + count);
+    return _mm256_and_si256(_mm256_cmpgt_epi32(lane, _mm256_set1_epi32(lo - 1)),
+                            _mm256_cmpgt_epi32(_mm256_set1_epi32(hi), lane));
+  }
+  static void store(std::uint8_t* p, Mask m, Ints w) {
+    _mm256_maskstore_epi32(reinterpret_cast<int*>(p), m, w);
+  }
+};
+#else
+#define ULLSNN_PIXEL_LANES 0
+#endif
+
+/// Front slack of a Rows panel buffer: a masked store addresses lane 0 of its
+/// vector, up to 15 words ahead of the first lane it writes.
+constexpr std::int64_t kPanelSlack = 64;
+
+#if ULLSNN_PIXEL_LANES
+/// Quantizes A rows [r0, r0 + kCount) of `a` into `panels` (Rows layout, kq
+/// k-quads), where those rows are adjacent output pixels of one output row
+/// at stride 1: column kk of all of them is then one contiguous run of the
+/// image, so both passes (range, then quantize) are vector loads rather than
+/// a per-row gather. Each lane computes its row's range, parameters and bytes
+/// exactly as Rows::quantize does for that row.
+void quantize_pixels(const PatchView& a, std::int64_t r0, std::int64_t k,
+                     std::int64_t kq, std::uint8_t* panels, float* scale,
+                     std::int32_t* zero_point) {
+  using V = PixelLanes;
+  constexpr std::int64_t kLanes = V::kCount;
+  const float* base = a.row(r0);
+  const std::int64_t* off = a.offsets;
+  // Two accumulator pairs halve the min/max dependency chain.
+  V::Floats lo0 = V::zero();
+  V::Floats hi0 = V::zero();
+  V::Floats lo1 = V::zero();
+  V::Floats hi1 = V::zero();
+  std::int64_t kk = 0;
+  for (; kk + 2 <= k; kk += 2) {
+    const V::Floats x0 = V::load(base + off[kk]);
+    const V::Floats x1 = V::load(base + off[kk + 1]);
+    lo0 = V::min(lo0, x0);
+    hi0 = V::max(hi0, x0);
+    lo1 = V::min(lo1, x1);
+    hi1 = V::max(hi1, x1);
+  }
+  if (kk < k) {
+    const V::Floats x0 = V::load(base + off[kk]);
+    lo0 = V::min(lo0, x0);
+    hi0 = V::max(hi0, x0);
+  }
+  alignas(64) float lo[kLanes] = {};
+  alignas(64) float hi[kLanes] = {};
+  alignas(64) float inv[kLanes] = {};
+  alignas(64) std::int32_t zp[kLanes] = {};
+  V::store(lo, V::min(lo0, lo1));
+  V::store(hi, V::max(hi0, hi1));
+  for (std::int64_t p = 0; p < kLanes; ++p) {
+    row_quant_params(lo[p], hi[p], scale[r0 + p], inv[p], zp[p]);
+    zero_point[r0 + p] = zp[p];
+  }
+  // Lanes of one panel hold consecutive slots of every k-quad, so each panel
+  // the rows touch takes one masked store per quad.
+  struct Segment {
+    std::uint8_t* dst;  // lane 0's address in quad 0
+    V::Mask mask;
+  };
+  Segment segments[kLanes / kMR + 2] = {};
+  std::int64_t count = 0;
+  for (std::int64_t p = 0; p < kLanes;) {
+    const std::int64_t r = r0 + p;
+    const std::int64_t n = std::min(kMR - r % kMR, kLanes - p);
+    segments[count++] = {panels + (r / kMR) * kq * kMR * 4 + (r % kMR - p) * 4,
+                         V::lanes(p, n)};
+    p += n;
+  }
+  const V::Floats vinv = V::load(inv);
+  const V::Ints vzp = V::load(zp);
+  const auto column = [&](std::int64_t c) {
+    return V::quantize(V::load(base + off[c]), vinv, vzp);
+  };
+  for (std::int64_t q = 0; q < kq; ++q) {
+    const std::int64_t c = q * 4;
+    V::Ints w = column(c);
+    if (c + 4 <= k) {
+      w = V::put_byte<1>(w, column(c + 1));
+      w = V::put_byte<2>(w, column(c + 2));
+      w = V::put_byte<3>(w, column(c + 3));
+    } else {  // the last, partial quad: missing bytes stay 0
+      if (c + 1 < k) w = V::put_byte<1>(w, column(c + 1));
+      if (c + 2 < k) w = V::put_byte<2>(w, column(c + 2));
+    }
+    for (std::int64_t s = 0; s < count; ++s) {
+      V::store(segments[s].dst + q * kMR * 4, segments[s].mask, w);
+    }
+  }
+}
+#endif
+
 }  // namespace
 
 QuantizedPackedB::Rows::Rows(std::int64_t m, std::int64_t k, Arena& arena)
-    : data(arena.alloc_u8(static_cast<std::size_t>(m * k))),
-      scale(arena.alloc_floats(static_cast<std::size_t>(m))),
+    : scale(arena.alloc_floats(static_cast<std::size_t>(m))),
       zero_point(arena.alloc_i32(static_cast<std::size_t>(m))),
-      k_(k) {}
+      panels_(arena.alloc_u8(static_cast<std::size_t>(
+                  kPanelSlack + ceil_div(m, kMR) * ceil_div(k, 4) * kMR * 4)) +
+              kPanelSlack),
+      bytes_(arena.alloc_u8(static_cast<std::size_t>(ceil_div(k, 4) * 4))),
+      m_(m),
+      k_(k),
+      kq_(ceil_div(k, 4)) {
+  // The kernel reads whole panels and whole k-quads; the bytes past row m and
+  // past k must be 0 (padded B lanes are 0 too, so they add nothing).
+  std::memset(bytes_, 0, static_cast<std::size_t>(kq_ * 4));
+  if (m % kMR != 0) {
+    std::memset(panels_ + (m / kMR) * kq_ * kMR * 4, 0,
+                static_cast<std::size_t>(kq_ * kMR * 4));
+  }
+}
+
+const std::uint8_t* QuantizedPackedB::Rows::panel(std::int64_t p,
+                                                  std::int64_t q0) const {
+  return panels_ + (p * kq_ + q0) * kMR * 4;
+}
 
 void QuantizedPackedB::Rows::quantize(std::int64_t i, const float* row,
                                       std::int64_t stride) {
@@ -173,16 +369,42 @@ void QuantizedPackedB::Rows::quantize(std::int64_t i, const float* row,
   float hi = 0.0F;
   row_min_max(row, k_, stride, lo, hi);
   float inv = 0.0F;
-  std::int32_t zp = 0;
-  if (hi == lo) {  // all-zero row
-    scale[i] = 0.0F;
-  } else {
-    scale[i] = (hi - lo) / 127.0F;
-    inv = 127.0F / (hi - lo);
-    zp = static_cast<std::int32_t>(std::clamp<long>(std::lrintf(-lo * inv), 0, 127));
+  row_quant_params(lo, hi, scale[i], inv, zero_point[i]);
+  quantize_row_u8(row, stride, bytes_, k_, inv, zero_point[i]);
+  // Deal the row's k-quads out to its slot in every quad of its panel.
+  std::uint8_t* dst = panels_ + (i / kMR) * kq_ * kMR * 4 + (i % kMR) * 4;
+  for (std::int64_t q = 0; q < kq_; ++q) {
+    std::memcpy(dst + q * kMR * 4, bytes_ + q * 4, 4);
   }
-  zero_point[i] = zp;
-  quantize_row_u8(row, stride, data + i * k_, k_, inv, zp);
+}
+
+void QuantizedPackedB::Rows::quantize(const PatchView& a, Arena& arena) {
+  float* field = arena.alloc_floats(static_cast<std::size_t>(k_));
+  const std::int64_t* off = a.offsets;
+  for (std::int64_t i = 0; i < m_;) {
+#if ULLSNN_PIXEL_LANES
+    if (a.stride == 1 && i % a.ow + PixelLanes::kCount <= a.ow) {
+      quantize_pixels(a, i, k_, kq_, panels_, scale, zero_point);
+      i += PixelLanes::kCount;
+      continue;
+    }
+#endif
+    // One receptive field through an L1-resident row: the values im2row
+    // would materialise, so the same quantized bytes.
+    const float* base = a.row(i);
+    std::int64_t kk = 0;
+    if (a.kernel == 3) {
+      // Each kx run is 3 consecutive floats: copy it as 4 and let the next
+      // run overwrite the extra one. The extra read stays at or below the
+      // field's last run start, which the scalar tail copies exactly.
+      for (; kk + 3 < k_; kk += 3) {
+        std::memcpy(field + kk, base + off[kk], 4 * sizeof(float));
+      }
+    }
+    for (; kk < k_; ++kk) field[kk] = base[off[kk]];
+    quantize(i, field, 1);
+    ++i;
+  }
 }
 
 namespace {
@@ -490,16 +712,8 @@ void gemm_packed_int8(PatchView a, const QuantizedPackedB& b, float* c,
                       std::int64_t m, bool accumulate) {
   Arena& arena = thread_arena();
   ArenaScope scope(arena);
-  const std::int64_t k = b.k_;
-  QuantizedPackedB::Rows q(m, k, arena);
-  // One receptive field at a time through an L1-resident row: the same
-  // values im2row would materialise, so the same quantized bytes.
-  float* row = arena.alloc_floats(static_cast<std::size_t>(k));
-  for (std::int64_t i = 0; i < m; ++i) {
-    const float* base = a.row(i);
-    for (std::int64_t kk = 0; kk < k; ++kk) row[kk] = base[a.offsets[kk]];
-    q.quantize(i, row, 1);
-  }
+  QuantizedPackedB::Rows q(m, b.k_, arena);
+  q.quantize(a, arena);
   b.multiply(q, c, m, accumulate);
 }
 
@@ -512,35 +726,14 @@ void QuantizedPackedB::multiply(const Rows& q, float* c, std::int64_t m,
   if (m == 0 || n == 0) return;
   ULLSNN_COUNTER_ADD("kernels.int8_dispatch", 1);
   const auto kernel = reinterpret_cast<detail::MicroKernelInt8>(kernel_plan().int8);
-  Arena& arena = thread_arena();
   for (const Block& block : blocks_) {
     const std::int64_t kq = ceil_div(block.kc, 4);
     const std::int32_t* csum_base = colsums_.data() + block.colsum_off;
+    // Every block starts on a whole k-quad of the already-packed A panels.
+    static_assert(kKC % 4 == 0);
+    const std::int64_t q0 = block.pc / 4;
     for (std::int64_t ic = 0; ic < m; ic += kMC) {
       const std::int64_t mc = std::min(kMC, m - ic);
-      ArenaScope scope(arena);
-      // Interleave the quantized A block into k-quad panels: one 4-byte word
-      // per (row, k-quad). Padding bytes stay 0: padded B lanes are 0 too, so
-      // padded products contribute nothing to accumulator or colsum.
-      const std::int64_t a_panels = ceil_div(mc, kMR);
-      const std::size_t ap_bytes = static_cast<std::size_t>(a_panels * kq * kMR * 4);
-      std::uint8_t* ap = arena.alloc_u8(ap_bytes);
-      std::memset(ap, 0, ap_bytes);
-      const std::int64_t kq_full = block.kc / 4;
-      for (std::int64_t i0 = 0; i0 < mc; i0 += kMR) {
-        std::uint8_t* dst = ap + (i0 / kMR) * kq * kMR * 4;
-        const std::int64_t ir = std::min(kMR, mc - i0);
-        for (std::int64_t i = 0; i < ir; ++i) {
-          const std::uint8_t* src = q.data + (ic + i0 + i) * k_ + block.pc;
-          std::uint8_t* d = dst + i * 4;
-          for (std::int64_t q4 = 0; q4 < kq_full; ++q4) {
-            std::memcpy(d + q4 * kMR * 4, src + q4 * 4, 4);
-          }
-          for (std::int64_t kk = kq_full * 4; kk < block.kc; ++kk) {
-            d[(kk / 4) * kMR * 4 + (kk & 3)] = src[kk];
-          }
-        }
-      }
       alignas(64) std::int32_t acc[kMR * kInt8Nr];
       for (std::int64_t j0 = 0; j0 < block.nc; j0 += kInt8Nr) {
         const std::int8_t* bp =
@@ -550,7 +743,7 @@ void QuantizedPackedB::multiply(const Rows& q, float* c, std::int64_t m,
         const std::int64_t cols = std::min(kInt8Nr, block.nc - j0);
         for (std::int64_t i0 = 0; i0 < mc; i0 += kMR) {
           const std::int64_t rows = std::min(kMR, mc - i0);
-          kernel(ap + (i0 / kMR) * kq * kMR * 4, bp, acc, kq);
+          kernel(q.panel((ic + i0) / kMR, q0), bp, acc, kq);
           // Tier-shared epilogue: zero-point correction + fused dequant.
           // |acc - zp*colsum| < 2^24 (kc <= 256), so the int -> float
           // conversion is exact and results match bitwise across tiers. The

@@ -74,6 +74,7 @@ struct PatchView {
   std::int64_t ow = 0;                    // output width
   std::int64_t stride = 1;
   std::int64_t wp = 0;                    // padded image row length
+  std::int64_t kernel = 1;                // K: offsets run in K-long unit steps
 
   /// Base of row r: its column kk is row(r)[offsets[kk]].
   const float* row(std::int64_t r) const {
@@ -191,20 +192,31 @@ class QuantizedPackedB {
   friend void gemm_packed_int8(PatchView a, const QuantizedPackedB& b, float* c,
                                std::int64_t m, bool accumulate);
   /// The A side: m rows quantized per row to uint8 in [0, 127] (asymmetric,
-  /// with 0 always in range so it maps exactly onto the zero point), in
-  /// storage from the caller's arena.
+  /// with 0 always in range so it maps exactly onto the zero point), written
+  /// straight into the micro-kernel's A panel layout over the whole K extent
+  /// (gemm_kernels.h), in storage from the caller's arena.
   class Rows {
    public:
     Rows(std::int64_t m, std::int64_t k, Arena& arena);
     /// Quantize row i from k floats at row[0], row[stride], ...
     void quantize(std::int64_t i, const float* row, std::int64_t stride);
+    /// Quantize all m rows of the implicit im2row matrix `a`; scratch from
+    /// `arena`. Same bytes as quantizing the materialised rows one by one
+    /// (for finite inputs).
+    void quantize(const PatchView& a, Arena& arena);
+    /// A panel of rows [6p, 6p+6) from k-quad q0 on, as the micro-kernel
+    /// reads it; zero past k and past row m.
+    const std::uint8_t* panel(std::int64_t p, std::int64_t q0) const;
 
-    std::uint8_t* data;        // [m, k] row-major
     float* scale;              // [m]
     std::int32_t* zero_point;  // [m]
 
    private:
+    std::uint8_t* panels_;  // [ceil(m/6)][ceil(k/4)][6][4]
+    std::uint8_t* bytes_;   // one quantized row, zero past k
+    std::int64_t m_;
     std::int64_t k_;
+    std::int64_t kq_;       // ceil(k/4)
   };
   /// C[m, n()] (+)= A * B for A already quantized.
   void multiply(const Rows& a, float* c, std::int64_t m, bool accumulate) const;
@@ -229,9 +241,12 @@ class QuantizedPackedB {
 void gemm_packed_int8(MatView a, const QuantizedPackedB& b, float* c,
                       std::int64_t m, bool accumulate);
 
-/// The same product with A the implicit im2row matrix of `a`, each receptive
-/// field gathered into an L1-resident row before it is quantized. Bitwise
-/// equal to gemm_packed_int8 over the materialised im2row rows.
+/// The same product with A the implicit im2row matrix of `a`. Where stride 1
+/// puts adjacent output pixels of one output row next to each other in the
+/// image, a vector of them is quantized at once, column by column; any other
+/// row has its receptive field gathered into an L1-resident row first. Bitwise
+/// equal to gemm_packed_int8 over the materialised im2row rows for finite
+/// inputs (a NaN may resolve a row's range differently).
 void gemm_packed_int8(PatchView a, const QuantizedPackedB& b, float* c,
                       std::int64_t m, bool accumulate);
 

@@ -308,7 +308,7 @@ void conv_sample_dense(const float* img, const std::int64_t* offsets,
     image = padded;
   }
   const std::int64_t ow = spec.out_extent(width);
-  const PatchView patches{image, offsets, ow, spec.stride, wp};
+  const PatchView patches{image, offsets, ow, spec.stride, wp, spec.kernel};
   const std::int64_t ohw = spec.out_extent(height) * ow;
   if (qweight != nullptr) {
     gemm_packed_int8(patches, *qweight, out_t, ohw, /*accumulate=*/false);

@@ -431,7 +431,10 @@ TEST_P(PatchPackedConvTest, BitwiseEqualToIm2rowGemm) {
   // conv2d_forward_spiking forms at fp32 and at int8. The grid covers
   // kernel {1,3,5} x stride {1,2} x pad {0,1,2} on non-square images, OH*OW
   // not a multiple of the 6-row panel, more than one 96-row block (11x10),
-  // and Cin 64 with k 3 (K = 576, three K blocks).
+  // and Cin 64 with k 3 (K = 576, three K blocks). At stride 1, output rows
+  // of 16 or more pixels (widths 19-23 with Cin 1-3, and 34 with Cin 64) take
+  // the int8 quantizer's pixel-vector path, with vectors starting at every
+  // row offset within a panel and every length of the last k-quad.
   struct Geometry {
     std::int64_t cin, cout, h, w;
   };
@@ -441,11 +444,15 @@ TEST_P(PatchPackedConvTest, BitwiseEqualToIm2rowGemm) {
       for (const std::int64_t pad : {0, 1, 2}) {
         cases.push_back({Conv2dSpec{3, 20, k, stride, pad}, Geometry{3, 20, 9, 7}});
         cases.push_back({Conv2dSpec{2, 37, k, stride, pad}, Geometry{2, 37, 11, 10}});
+        cases.push_back({Conv2dSpec{2, 9, k, stride, pad}, Geometry{2, 9, 6, 21}});
+        cases.push_back({Conv2dSpec{1, 5, k, stride, pad}, Geometry{1, 5, 5, 23}});
+        cases.push_back({Conv2dSpec{3, 7, k, stride, pad}, Geometry{3, 7, 7, 19}});
       }
     }
   }
   cases.push_back({Conv2dSpec{64, 24, 3, 1, 1}, Geometry{64, 24, 7, 5}});
   cases.push_back({Conv2dSpec{64, 40, 3, 2, 1}, Geometry{64, 40, 6, 9}});
+  cases.push_back({Conv2dSpec{64, 16, 3, 1, 1}, Geometry{64, 16, 4, 34}});
   IsaGuard isa_guard;
   ThreadGuard thread_guard;
   set_kernel_isa_for_testing(GetParam());
