@@ -148,34 +148,42 @@ PipelineResult HybridPipeline::run_stages(const data::LabeledImages& train,
                       "preflight");
   }
 
-  // Stage (a): DNN training.
-  if (ck.enabled && manifest.stage_completed >= 1) {
-    robust::load_params(dnn_->params(), robust::stage_weights_path(ck.dir, 1));
-    result.dnn_accuracy = manifest.dnn_accuracy;
-    result.dnn_train_seconds = manifest.dnn_train_seconds;
-  } else {
-    ULLSNN_TRACE_SCOPE("pipeline.stage_a.dnn_train");
+  // Stages (a) and (c) share one body: a stage the manifest records as done
+  // is replayed from its weights and recorded metrics; otherwise it trains
+  // (resuming from its epoch checkpoint) and is persisted with the manifest.
+  const auto train_stage = [&](int stage, const char* span, dnn::TrainLoop& trainer,
+                               const std::vector<dnn::Param*>& params,
+                               double& accuracy, double& seconds) {
+    if (ck.enabled && manifest.stage_completed >= stage) {
+      robust::load_params(params, robust::stage_weights_path(ck.dir, stage));
+      return;
+    }
+    ULLSNN_TRACE_SCOPE(span);
     Timer timer;
-    dnn::TrainConfig dnn_cfg = config_.dnn_train;
-    dnn_cfg.verbose = config_.verbose;
-    dnn::DnnTrainer dnn_trainer(*dnn_, dnn_cfg);
     std::unique_ptr<robust::TrainCheckpointer> epoch_ckpt;
     if (ck.enabled && ck.epoch_checkpoints) {
       epoch_ckpt = std::make_unique<robust::TrainCheckpointer>(
-          robust::stage_train_state_path(ck.dir, 1));
+          robust::stage_train_state_path(ck.dir, stage));
     }
-    dnn_trainer.fit(train, nullptr, epoch_ckpt.get());
-    result.dnn_train_seconds = timer.seconds();
-    result.dnn_accuracy = dnn_trainer.evaluate(test);
+    trainer.fit(train, nullptr, epoch_ckpt.get());
+    seconds = timer.seconds();
+    accuracy = trainer.evaluate(test);
     if (ck.enabled) {
-      robust::save_params(dnn_->params(), robust::stage_weights_path(ck.dir, 1));
-      manifest.stage_completed = 1;
-      manifest.dnn_accuracy = result.dnn_accuracy;
-      manifest.dnn_train_seconds = result.dnn_train_seconds;
+      robust::save_params(params, robust::stage_weights_path(ck.dir, stage));
+      manifest.stage_completed = stage;
       robust::save_manifest(manifest, robust::manifest_path(ck.dir));
       if (epoch_ckpt) epoch_ckpt->remove();
     }
-  }
+  };
+
+  // Stage (a): DNN training.
+  dnn::TrainConfig dnn_cfg = config_.dnn_train;
+  dnn_cfg.verbose = config_.verbose;
+  dnn::DnnTrainer dnn_trainer(*dnn_, dnn_cfg);
+  train_stage(1, "pipeline.stage_a.dnn_train", dnn_trainer, dnn_->params(),
+              manifest.dnn_accuracy, manifest.dnn_train_seconds);
+  result.dnn_accuracy = manifest.dnn_accuracy;
+  result.dnn_train_seconds = manifest.dnn_train_seconds;
   ULLSNN_GAUGE_SET("pipeline.dnn_accuracy", result.dnn_accuracy);
   if (config_.verbose) {
     obs::logf(obs::LogLevel::kInfo, "[pipeline] DNN accuracy: %.4f",
@@ -223,33 +231,13 @@ PipelineResult HybridPipeline::run_stages(const data::LabeledImages& train,
   }
 
   // Stage (c): SGL fine-tuning.
-  if (ck.enabled && manifest.stage_completed >= 3) {
-    robust::load_params(snn_->params(), robust::stage_weights_path(ck.dir, 3));
-    result.sgl_accuracy = manifest.sgl_accuracy;
-    result.sgl_train_seconds = manifest.sgl_train_seconds;
-  } else {
-    ULLSNN_TRACE_SCOPE("pipeline.stage_c.sgl_train");
-    Timer timer;
-    snn::SglConfig sgl_cfg = config_.sgl;
-    sgl_cfg.verbose = config_.verbose;
-    snn::SglTrainer sgl_trainer(*snn_, sgl_cfg);
-    std::unique_ptr<robust::TrainCheckpointer> epoch_ckpt;
-    if (ck.enabled && ck.epoch_checkpoints) {
-      epoch_ckpt = std::make_unique<robust::TrainCheckpointer>(
-          robust::stage_train_state_path(ck.dir, 3));
-    }
-    sgl_trainer.fit(train, nullptr, epoch_ckpt.get());
-    result.sgl_train_seconds = timer.seconds();
-    result.sgl_accuracy = sgl_trainer.evaluate(test);
-    if (ck.enabled) {
-      robust::save_params(snn_->params(), robust::stage_weights_path(ck.dir, 3));
-      manifest.stage_completed = 3;
-      manifest.sgl_accuracy = result.sgl_accuracy;
-      manifest.sgl_train_seconds = result.sgl_train_seconds;
-      robust::save_manifest(manifest, robust::manifest_path(ck.dir));
-      if (epoch_ckpt) epoch_ckpt->remove();
-    }
-  }
+  snn::SglConfig sgl_cfg = config_.sgl;
+  sgl_cfg.verbose = config_.verbose;
+  snn::SglTrainer sgl_trainer(*snn_, sgl_cfg);
+  train_stage(3, "pipeline.stage_c.sgl_train", sgl_trainer, snn_->params(),
+              manifest.sgl_accuracy, manifest.sgl_train_seconds);
+  result.sgl_accuracy = manifest.sgl_accuracy;
+  result.sgl_train_seconds = manifest.sgl_train_seconds;
   ULLSNN_GAUGE_SET("pipeline.sgl_accuracy", result.sgl_accuracy);
   if (config_.verbose) {
     obs::logf(obs::LogLevel::kInfo, "[pipeline] SNN accuracy after SGL: %.4f",

@@ -1,6 +1,7 @@
 #include "src/dnn/trainer.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "src/dnn/activations.h"
 #include "src/dnn/loss.h"
@@ -11,52 +12,31 @@
 
 namespace ullsnn::dnn {
 
-DnnTrainer::DnnTrainer(Sequential& model, TrainConfig config)
-    : model_(&model),
-      config_(config),
-      optimizer_(model.params(),
-                 SgdConfig{config.lr, config.momentum, config.weight_decay}),
-      schedule_(config.lr, config.epochs),
-      rng_(config.seed) {}
-
-EpochStats DnnTrainer::train_epoch(const data::LabeledImages& train,
-                                   std::int64_t epoch) {
-  ULLSNN_TRACE_SCOPE("dnn.train_epoch");
+EpochStats TrainLoop::train_epoch(const data::LabeledImages& train,
+                                  std::int64_t epoch) {
+  ULLSNN_TRACE_SCOPE(names_.span);
   Timer timer;
   optimizer_.set_lr(schedule_.lr_at(epoch) * lr_scale_);
-  data::BatchIterator batches(train, config_.batch_size, rng_);
+  data::BatchIterator batches(train, batch_size_, rng_);
   const data::AugmentSpec aug;
   double loss_sum = 0.0;
   std::int64_t correct = 0;
   std::int64_t seen = 0;
   for (std::int64_t b = 0; b < batches.num_batches(); ++b) {
     data::Batch batch = batches.batch(b);
-    if (config_.augment) data::augment_batch(batch, aug, rng_);
+    if (augment_) data::augment_batch(batch, aug, rng_);
     optimizer_.zero_grad();
-    const Tensor logits = model_->forward(batch.images, /*train=*/true);
+    const Tensor logits = forward(batch.images, /*train=*/true);
     LossResult loss = softmax_cross_entropy(logits, batch.labels);
-    model_->backward(loss.grad);
-    // L2 regularizer on the clip thresholds: grad += 2 * lambda * mu.
-    if (config_.mu_l2 > 0.0F) {
-      for (Param* p : model_->params()) {
-        if (p->name == "threshold_relu.mu") {
-          p->grad[0] += 2.0F * config_.mu_l2 * p->value[0];
-        }
-      }
-    }
+    backward(loss.grad);
+    after_backward();
     optimizer_.step();
-    // Keep clip thresholds positive: a mu driven to <= 0 silences its layer
-    // permanently (zero output and zero gradient — unrecoverable).
-    for (Param* p : model_->params()) {
-      if (p->name == "threshold_relu.mu" && p->value[0] < 1e-2F) {
-        p->value[0] = 1e-2F;
-      }
-    }
+    after_step();
     loss_sum += static_cast<double>(loss.loss) * static_cast<double>(batch.size());
     correct += loss.correct;
     seen += batch.size();
   }
-  model_->clear_cache();
+  end_epoch();
   EpochStats stats;
   stats.epoch = epoch;
   stats.train_loss = static_cast<float>(loss_sum / static_cast<double>(seen));
@@ -65,78 +45,121 @@ EpochStats DnnTrainer::train_epoch(const data::LabeledImages& train,
   return stats;
 }
 
-std::vector<EpochStats> DnnTrainer::fit(const data::LabeledImages& train,
-                                        const data::LabeledImages* test,
-                                        robust::TrainCheckpointer* checkpointer) {
-  robust::HealthMonitor monitor(config_.guard);
+std::vector<EpochStats> TrainLoop::fit(const data::LabeledImages& train,
+                                       const data::LabeledImages* test,
+                                       robust::TrainCheckpointer* checkpointer) {
+  robust::HealthMonitor monitor(guard_);
   std::vector<EpochStats> history;
-  history.reserve(static_cast<std::size_t>(config_.epochs));
+  history.reserve(static_cast<std::size_t>(epochs_));
   std::int64_t start = 0;
   if (checkpointer != nullptr) {
-    start = checkpointer->restore(model_->params(), optimizer_.velocity(), rng_);
-    if (config_.verbose && start > 0) {
-      obs::logf(obs::LogLevel::kInfo, "  [dnn] resuming from epoch %lld (%s)",
-                static_cast<long long>(start), checkpointer->path().c_str());
+    start = checkpointer->restore(params_, optimizer_.velocity(), rng_, monitor);
+    if (start > 0) {
+      lr_scale_ = monitor.lr_scale();
+      if (verbose_) {
+        obs::logf(obs::LogLevel::kInfo, "  [%s] resuming from epoch %lld (%s)", names_.tag,
+                  static_cast<long long>(start), checkpointer->path().c_str());
+      }
     }
   }
-  if (config_.guard.policy == robust::GuardPolicy::kRollback) {
-    monitor.snapshot(model_->params(), optimizer_.velocity(), rng_);
-  }
-  for (std::int64_t e = start; e < config_.epochs;) {
+  const bool rollback = guard_.policy == robust::GuardPolicy::kRollback;
+  if (rollback) monitor.snapshot(params_, optimizer_.velocity(), rng_);
+  const std::string tag = names_.tag;
+  for (std::int64_t e = start; e < epochs_;) {
     if (epoch_hook_) epoch_hook_(e);
     EpochStats stats = train_epoch(train, e);
     if (monitor.enabled()) {
-      const robust::HealthReport report = monitor.check(model_->params(), stats.train_loss);
+      robust::HealthReport report = monitor.check(params_, stats.train_loss);
+      scan_state(monitor, report);
       switch (monitor.decide(report)) {
         case robust::GuardAction::kAbort:
-          throw std::runtime_error("DnnTrainer: " + report.describe());
+          throw std::runtime_error(std::string(names_.who) + ": " + report.describe());
         case robust::GuardAction::kRetry:
-          monitor.restore(model_->params(), optimizer_.velocity(), rng_);
+          monitor.restore(params_, optimizer_.velocity(), rng_);
           lr_scale_ = monitor.lr_scale();
           continue;  // replay the same epoch from the restored state
         case robust::GuardAction::kProceed:
           break;
       }
-      if (config_.guard.policy == robust::GuardPolicy::kRollback) {
-        monitor.snapshot(model_->params(), optimizer_.velocity(), rng_);
-      }
+      if (rollback) monitor.snapshot(params_, optimizer_.velocity(), rng_);
     }
     if (test != nullptr) stats.test_accuracy = evaluate(*test);
-    ULLSNN_COUNTER_ADD("dnn.epochs", 1);
-    ULLSNN_GAUGE_SET("dnn.train_loss", stats.train_loss);
-    ULLSNN_GAUGE_SET("dnn.train_accuracy", stats.train_accuracy);
-    ULLSNN_HISTOGRAM_OBSERVE("dnn.epoch_seconds", stats.seconds);
-    if (config_.verbose) {
+    obs::Registry& metrics = obs::Registry::instance();
+    metrics.counter(tag + ".epochs").add(1);
+    metrics.gauge(tag + ".train_loss").set(stats.train_loss);
+    metrics.gauge(tag + ".train_accuracy").set(stats.train_accuracy);
+    metrics.histogram(tag + ".epoch_seconds").observe(stats.seconds);
+    if (verbose_) {
       obs::logf(obs::LogLevel::kInfo,
-                "  [dnn] epoch %3lld  loss %.4f  train %.4f  test %.4f  (%.1fs)",
-                static_cast<long long>(stats.epoch), stats.train_loss,
+                "  [%s] epoch %3lld  loss %.4f  train %.4f  test %.4f  (%.1fs)",
+                names_.tag, static_cast<long long>(stats.epoch), stats.train_loss,
                 stats.train_accuracy, stats.test_accuracy, stats.seconds);
     }
     history.push_back(stats);
     if (checkpointer != nullptr) {
-      checkpointer->save(e + 1, model_->params(), optimizer_.velocity(), rng_);
+      checkpointer->save(e + 1, params_, optimizer_.velocity(), rng_, monitor);
     }
     ++e;
   }
   return history;
 }
 
-double DnnTrainer::evaluate(const data::LabeledImages& dataset) {
-  return evaluate_model(*model_, dataset, config_.batch_size);
+double TrainLoop::evaluate(const data::LabeledImages& dataset) {
+  return top1_accuracy(dataset, batch_size_,
+                       [this](const Tensor& images) { return forward(images, false); });
 }
 
-double evaluate_model(Sequential& model, const data::LabeledImages& dataset,
-                      std::int64_t batch_size) {
+DnnTrainer::DnnTrainer(Sequential& model, TrainConfig config)
+    : TrainLoop({"dnn", "dnn.train_epoch", "DnnTrainer"}, model.params(), config),
+      model_(&model),
+      mu_l2_(config.mu_l2) {
+  for (Param* p : params_) {
+    if (p->name == "threshold_relu.mu") mu_.push_back(p);
+  }
+}
+
+Tensor DnnTrainer::forward(const Tensor& images, bool train) {
+  return model_->forward(images, train);
+}
+
+void DnnTrainer::backward(const Tensor& grad_logits) { model_->backward(grad_logits); }
+
+void DnnTrainer::after_backward() {
+  // L2 regularizer on the clip thresholds: grad += 2 * lambda * mu.
+  if (mu_l2_ > 0.0F) {
+    for (Param* p : mu_) p->grad[0] += 2.0F * mu_l2_ * p->value[0];
+  }
+}
+
+void DnnTrainer::after_step() {
+  // Keep clip thresholds positive: a mu driven to <= 0 silences its layer
+  // permanently (zero output and zero gradient — unrecoverable).
+  for (Param* p : mu_) {
+    if (p->value[0] < 1e-2F) p->value[0] = 1e-2F;
+  }
+}
+
+void DnnTrainer::end_epoch() { model_->clear_cache(); }
+
+double top1_accuracy(const data::LabeledImages& dataset, std::int64_t batch_size,
+                     const std::function<Tensor(const Tensor&)>& forward) {
   Rng rng(0);  // unused: evaluation neither shuffles nor augments
   data::BatchIterator batches(dataset, batch_size, rng, /*shuffle_each_epoch=*/false);
   std::int64_t correct = 0;
   for (std::int64_t b = 0; b < batches.num_batches(); ++b) {
     const data::Batch batch = batches.batch(b);
-    const Tensor logits = model.forward(batch.images, /*train=*/false);
+    const Tensor logits = forward(batch.images);
     correct += static_cast<std::int64_t>(
         accuracy(logits, batch.labels) * static_cast<double>(batch.size()) + 0.5);
   }
   return static_cast<double>(correct) / static_cast<double>(dataset.size());
+}
+
+double evaluate_model(Sequential& model, const data::LabeledImages& dataset,
+                      std::int64_t batch_size) {
+  return top1_accuracy(dataset, batch_size, [&model](const Tensor& images) {
+    return model.forward(images, false);
+  });
 }
 
 }  // namespace ullsnn::dnn

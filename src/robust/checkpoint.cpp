@@ -133,14 +133,16 @@ TrainCheckpointer::TrainCheckpointer(std::string path) : path_(std::move(path)) 
 
 void TrainCheckpointer::save(std::int64_t epochs_completed,
                              const std::vector<dnn::Param*>& params,
-                             const std::vector<Tensor>& velocity,
-                             const Rng& rng) const {
+                             const std::vector<Tensor>& velocity, const Rng& rng,
+                             const HealthMonitor& guard) const {
   if (velocity.size() != params.size()) {
     throw std::invalid_argument("TrainCheckpointer::save: velocity/params mismatch");
   }
   TensorDict dict;
   dict["epoch"] = pack_u64({static_cast<std::uint64_t>(epochs_completed)});
   dict["rng"] = pack_u64(rng_words(rng));
+  dict["guard"] = pack_u64({static_cast<std::uint64_t>(guard.rollbacks()),
+                            double_bits(guard.lr_scale())});
   for (std::size_t i = 0; i < params.size(); ++i) {
     dict["p" + std::to_string(i)] = params[i]->value;
     dict["v" + std::to_string(i)] = velocity[i];
@@ -149,11 +151,13 @@ void TrainCheckpointer::save(std::int64_t epochs_completed,
 }
 
 std::int64_t TrainCheckpointer::restore(const std::vector<dnn::Param*>& params,
-                                        std::vector<Tensor>& velocity,
-                                        Rng& rng) const {
+                                        std::vector<Tensor>& velocity, Rng& rng,
+                                        HealthMonitor& guard) const {
   if (!std::filesystem::exists(path_)) return 0;
   const TensorDict dict = load_tensors(path_);
-  if (dict.size() != 2 + 2 * params.size()) {
+  // Files written before the guard field existed resume with a fresh guard.
+  const bool has_guard = dict.count("guard") != 0;
+  if (dict.size() != (has_guard ? 3 : 2) + 2 * params.size()) {
     throw std::runtime_error("checkpoint: " + path_ +
                              " does not match the model's parameter count");
   }
@@ -175,6 +179,11 @@ std::int64_t TrainCheckpointer::restore(const std::vector<dnn::Param*>& params,
     velocity[i] = dict.at("v" + std::to_string(i));
   }
   set_rng_words(rng, rng_state);
+  if (has_guard) {
+    const auto backoff = unpack_u64(dict.at("guard"), 2, "guard");
+    guard.restore_backoff(static_cast<float>(bits_double(backoff[1])),
+                          static_cast<std::int64_t>(backoff[0]));
+  }
   return static_cast<std::int64_t>(epoch[0]);
 }
 

@@ -7,8 +7,9 @@
 //  * PipelineManifest — a tiny record of which stage last completed and the
 //    accuracies/timings already measured, persisted after every stage.
 //  * TrainCheckpointer — a per-epoch snapshot of one training stage: weights,
-//    optimizer momentum, and the trainer's RNG state, so a resumed stage
-//    continues bitwise-identically (same shuffles, same augmentations).
+//    optimizer momentum, the trainer's RNG state and the health guard's
+//    learning-rate backoff and spent rollbacks, so a resumed stage continues
+//    bitwise-identically (same shuffles, same augmentations, same LR).
 //
 // Everything is stored in the CRC-checked v2 tensor-dict format
 // (util/serialize.h) and written atomically, so a crash mid-save leaves the
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "src/dnn/module.h"
+#include "src/robust/health.h"
 #include "src/tensor/random.h"
 
 namespace ullsnn::robust {
@@ -53,22 +55,24 @@ void save_params(const std::vector<dnn::Param*>& params, const std::string& path
 /// file, corruption, or any count/shape mismatch.
 void load_params(const std::vector<dnn::Param*>& params, const std::string& path);
 
-/// Epoch-granular checkpointing of one training stage. The trainers call
-/// save() after every completed epoch and restore() once at the start of
-/// fit(); an interrupted stage resumes from its last completed epoch.
+/// Epoch-granular checkpointing of one training stage. The training loop
+/// calls save() after every completed epoch and restore() once at the start
+/// of fit(); an interrupted stage resumes from its last completed epoch.
 class TrainCheckpointer {
  public:
   explicit TrainCheckpointer(std::string path);
 
   void save(std::int64_t epochs_completed, const std::vector<dnn::Param*>& params,
-            const std::vector<Tensor>& velocity, const Rng& rng) const;
+            const std::vector<Tensor>& velocity, const Rng& rng,
+            const HealthMonitor& guard) const;
 
-  /// Restore a state saved by save(). Returns the number of completed epochs,
-  /// or 0 (leaving everything untouched) when no checkpoint file exists.
-  /// Throws std::runtime_error if the file exists but is corrupt or does not
-  /// match the model.
+  /// Restore a state saved by save(), the guard's backoff included. Returns
+  /// the number of completed epochs, or 0 (leaving everything untouched) when
+  /// no checkpoint file exists. Throws std::runtime_error if the file exists
+  /// but is corrupt or does not match the model.
   std::int64_t restore(const std::vector<dnn::Param*>& params,
-                       std::vector<Tensor>& velocity, Rng& rng) const;
+                       std::vector<Tensor>& velocity, Rng& rng,
+                       HealthMonitor& guard) const;
 
   /// Delete the checkpoint file (called once its stage completes).
   void remove() const;

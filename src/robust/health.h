@@ -18,11 +18,11 @@
 // not merely "approximately resumed".
 //
 // Thread safety: scan_tensor/check are const and touch only immutable config,
-// so concurrent scans from serving workers need no coordination. The mutating
-// trio — snapshot/restore/decide — serializes on an internal mutex, and the
+// so concurrent scans need no coordination (the serving engine and the model
+// registry call scan_tensor from their worker threads). The mutating trio —
+// snapshot/restore/decide — serializes on an internal mutex, and the
 // lr_scale/rollbacks counters are atomic, so one monitor may be shared across
-// threads (the serving circuit breaker feeds per-batch check() reports from
-// every worker into the same instance).
+// threads.
 #pragma once
 
 #include <atomic>
@@ -104,6 +104,12 @@ class HealthMonitor {
   float lr_scale() const { return lr_scale_.load(std::memory_order_relaxed); }
   std::int64_t rollbacks() const {
     return rollbacks_.load(std::memory_order_relaxed);
+  }
+  /// Set the backoff and the spent rollbacks, as a resumed run recorded them.
+  void restore_backoff(float lr_scale, std::int64_t rollbacks) {
+    MutexLock lock(mu_);
+    lr_scale_.store(lr_scale, std::memory_order_relaxed);
+    rollbacks_.store(rollbacks, std::memory_order_relaxed);
   }
 
  private:

@@ -2,149 +2,58 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-
-#include "src/dnn/loss.h"
-#include "src/obs/log.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
-#include "src/util/timer.h"
+#include <string>
 
 namespace ullsnn::snn {
 
 SglTrainer::SglTrainer(SnnNetwork& net, SglConfig config)
-    : net_(&net),
-      config_(config),
-      optimizer_(net.params(),
-                 dnn::SgdConfig{config.lr, config.momentum, config.weight_decay}),
-      schedule_(config.lr, config.epochs),
-      rng_(config.seed) {}
+    : TrainLoop({"sgl", "sgl.train_epoch", "SglTrainer"}, net.params(), config),
+      net_(&net),
+      grad_clip_norm_(config.grad_clip_norm) {}
 
-dnn::EpochStats SglTrainer::train_epoch(const data::LabeledImages& train,
-                                        std::int64_t epoch) {
-  ULLSNN_TRACE_SCOPE("sgl.train_epoch");
-  Timer timer;
-  optimizer_.set_lr(schedule_.lr_at(epoch) * lr_scale_);
-  data::BatchIterator batches(train, config_.batch_size, rng_);
-  const data::AugmentSpec aug;
-  double loss_sum = 0.0;
-  std::int64_t correct = 0;
-  std::int64_t seen = 0;
-  for (std::int64_t b = 0; b < batches.num_batches(); ++b) {
-    data::Batch batch = batches.batch(b);
-    if (config_.augment) data::augment_batch(batch, aug, rng_);
-    optimizer_.zero_grad();
-    const Tensor logits = net_->forward(batch.images, /*train=*/true);
-    dnn::LossResult loss = dnn::softmax_cross_entropy(logits, batch.labels);
-    net_->backward(loss.grad);
-    clip_gradients();
-    optimizer_.step();
-    clamp_neuron_params();
-    loss_sum += static_cast<double>(loss.loss) * static_cast<double>(batch.size());
-    correct += loss.correct;
-    seen += batch.size();
-  }
-  dnn::EpochStats stats;
-  stats.epoch = epoch;
-  stats.train_loss = static_cast<float>(loss_sum / static_cast<double>(seen));
-  stats.train_accuracy = static_cast<double>(correct) / static_cast<double>(seen);
-  stats.seconds = timer.seconds();
-  return stats;
+Tensor SglTrainer::forward(const Tensor& images, bool train) {
+  return net_->forward(images, train);
 }
 
-std::vector<dnn::EpochStats> SglTrainer::fit(const data::LabeledImages& train,
-                                             const data::LabeledImages* test,
-                                             robust::TrainCheckpointer* checkpointer) {
-  robust::HealthMonitor monitor(config_.guard);
-  std::vector<dnn::EpochStats> history;
-  history.reserve(static_cast<std::size_t>(config_.epochs));
-  std::int64_t start = 0;
-  if (checkpointer != nullptr) {
-    start = checkpointer->restore(net_->params(), optimizer_.velocity(), rng_);
-    if (config_.verbose && start > 0) {
-      obs::logf(obs::LogLevel::kInfo, "  [sgl] resuming from epoch %lld (%s)",
-                static_cast<long long>(start), checkpointer->path().c_str());
-    }
-  }
-  if (config_.guard.policy == robust::GuardPolicy::kRollback) {
-    monitor.snapshot(net_->params(), optimizer_.velocity(), rng_);
-  }
-  for (std::int64_t e = start; e < config_.epochs;) {
-    if (epoch_hook_) epoch_hook_(e);
-    dnn::EpochStats stats = train_epoch(train, e);
-    if (monitor.enabled()) {
-      robust::HealthReport report = monitor.check(net_->params(), stats.train_loss);
-      // BPTT-specific: the membrane potentials left by the last batch reveal
-      // in-dynamics blowups that the weights alone may not show yet.
-      for (std::int64_t i = 0; i < net_->size(); ++i) {
-        if (IfNeuron* neuron = net_->layer(i).neuron_or_null()) {
-          monitor.scan_tensor("layer" + std::to_string(i) + ".membrane",
-                              neuron->membrane(), report);
-        }
-      }
-      switch (monitor.decide(report)) {
-        case robust::GuardAction::kAbort:
-          throw std::runtime_error("SglTrainer: " + report.describe());
-        case robust::GuardAction::kRetry:
-          monitor.restore(net_->params(), optimizer_.velocity(), rng_);
-          lr_scale_ = monitor.lr_scale();
-          continue;  // replay the same epoch from the restored state
-        case robust::GuardAction::kProceed:
-          break;
-      }
-      if (config_.guard.policy == robust::GuardPolicy::kRollback) {
-        monitor.snapshot(net_->params(), optimizer_.velocity(), rng_);
-      }
-    }
-    if (test != nullptr) stats.test_accuracy = evaluate(*test);
-    ULLSNN_COUNTER_ADD("sgl.epochs", 1);
-    ULLSNN_GAUGE_SET("sgl.train_loss", stats.train_loss);
-    ULLSNN_GAUGE_SET("sgl.train_accuracy", stats.train_accuracy);
-    ULLSNN_HISTOGRAM_OBSERVE("sgl.epoch_seconds", stats.seconds);
-    if (config_.verbose) {
-      obs::logf(obs::LogLevel::kInfo,
-                "  [sgl] epoch %3lld  loss %.4f  train %.4f  test %.4f  (%.1fs)",
-                static_cast<long long>(stats.epoch), stats.train_loss,
-                stats.train_accuracy, stats.test_accuracy, stats.seconds);
-    }
-    history.push_back(stats);
-    if (checkpointer != nullptr) {
-      checkpointer->save(e + 1, net_->params(), optimizer_.velocity(), rng_);
-    }
-    ++e;
-  }
-  return history;
-}
+void SglTrainer::backward(const Tensor& grad_logits) { net_->backward(grad_logits); }
 
-double SglTrainer::evaluate(const data::LabeledImages& dataset) {
-  return evaluate_snn(*net_, dataset, config_.batch_size);
-}
-
-void SglTrainer::clip_gradients() {
-  if (config_.grad_clip_norm <= 0.0F) return;
+void SglTrainer::after_backward() {
+  if (grad_clip_norm_ <= 0.0F) return;
   double sq = 0.0;
-  for (dnn::Param* p : net_->params()) {
+  for (dnn::Param* p : params_) {
     for (std::int64_t i = 0; i < p->grad.numel(); ++i) {
       sq += static_cast<double>(p->grad[i]) * p->grad[i];
     }
   }
   const double norm = std::sqrt(sq);
-  if (norm <= config_.grad_clip_norm) return;
-  const float scale = config_.grad_clip_norm / static_cast<float>(norm);
-  for (dnn::Param* p : net_->params()) {
+  if (norm <= grad_clip_norm_) return;
+  const float scale = grad_clip_norm_ / static_cast<float>(norm);
+  for (dnn::Param* p : params_) {
     for (std::int64_t i = 0; i < p->grad.numel(); ++i) p->grad[i] *= scale;
   }
 }
 
-void SglTrainer::clamp_neuron_params() {
+void SglTrainer::after_step() {
   // Keep the neuron dynamics physical: thresholds strictly positive, leaks in
   // [0, 1]. SGD steps can momentarily push them outside, after which the
   // forward dynamics (and the surrogate support) would be meaningless.
-  for (dnn::Param* p : net_->params()) {
+  for (dnn::Param* p : params_) {
     if (p->name == "if.threshold") {
       p->value[0] = std::max(p->value[0], 1e-3F);
     } else if (p->name == "if.leak") {
       p->value[0] = std::clamp(p->value[0], 0.0F, 1.0F);
+    }
+  }
+}
+
+void SglTrainer::scan_state(const robust::HealthMonitor& monitor,
+                            robust::HealthReport& report) {
+  // BPTT-specific: the membrane potentials left by the last batch reveal
+  // in-dynamics blowups that the weights alone may not show yet.
+  for (std::int64_t i = 0; i < net_->size(); ++i) {
+    if (IfNeuron* neuron = net_->layer(i).neuron_or_null()) {
+      monitor.scan_tensor("layer" + std::to_string(i) + ".membrane",
+                          neuron->membrane(), report);
     }
   }
 }

@@ -5,14 +5,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
-#include "src/data/augment.h"
-#include "src/data/dataset.h"
-#include "src/dnn/optimizer.h"
 #include "src/dnn/trainer.h"
-#include "src/robust/checkpoint.h"
 #include "src/robust/health.h"
 #include "src/snn/snn_network.h"
 
@@ -36,36 +30,25 @@ struct SglConfig {
   robust::GuardConfig guard;
 };
 
-class SglTrainer {
+/// Stage (c): fine-tunes `net` in the shared dnn::TrainLoop (resume, guard
+/// and checkpoint semantics included), clipping the global gradient norm
+/// after backward and keeping the neuron parameters physical after each step.
+class SglTrainer : public dnn::TrainLoop {
  public:
   SglTrainer(SnnNetwork& net, SglConfig config);
 
-  dnn::EpochStats train_epoch(const data::LabeledImages& train, std::int64_t epoch);
-  /// Same resume/guard semantics as DnnTrainer::fit (see dnn/trainer.h).
-  std::vector<dnn::EpochStats> fit(const data::LabeledImages& train,
-                                   const data::LabeledImages* test = nullptr,
-                                   robust::TrainCheckpointer* checkpointer = nullptr);
-  double evaluate(const data::LabeledImages& dataset);
-
   SnnNetwork& network() { return *net_; }
 
-  /// Invoked at the top of every fit() epoch with the epoch index. Test and
-  /// fault-injection hook: lets a harness perturb state mid-run.
-  void set_epoch_hook(std::function<void(std::int64_t)> hook) {
-    epoch_hook_ = std::move(hook);
-  }
-
  private:
-  void clip_gradients();
-  void clamp_neuron_params();
+  Tensor forward(const Tensor& images, bool train) override;
+  void backward(const Tensor& grad_logits) override;
+  void after_backward() override;
+  void after_step() override;
+  void scan_state(const robust::HealthMonitor& monitor,
+                  robust::HealthReport& report) override;
 
   SnnNetwork* net_;
-  SglConfig config_;
-  dnn::Sgd optimizer_;
-  dnn::StepDecaySchedule schedule_;
-  Rng rng_;
-  float lr_scale_ = 1.0F;  // health-guard backoff, applied on top of the schedule
-  std::function<void(std::int64_t)> epoch_hook_;
+  float grad_clip_norm_;
 };
 
 }  // namespace ullsnn::snn

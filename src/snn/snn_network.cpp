@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "src/dnn/loss.h"
+#include "src/dnn/trainer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -104,32 +104,11 @@ std::int64_t SnnNetwork::total_spikes() const {
   return total;
 }
 
-std::vector<double> SnnNetwork::spikes_per_neuron(std::int64_t samples) const {
-  if (samples <= 0) throw std::invalid_argument("spikes_per_neuron: samples must be positive");
-  std::vector<double> out;
-  for (const auto& layer : layers_) {
-    const std::int64_t neurons = layer->neurons();  // per sample
-    if (neurons == 0) continue;  // weightless / readout layers
-    // spikes_emitted sums over batch and steps; dividing by (samples x
-    // per-sample neurons) yields the paper's per-image average spike count.
-    out.push_back(static_cast<double>(layer->spikes_emitted()) /
-                  (static_cast<double>(samples) * static_cast<double>(neurons)));
-  }
-  return out;
-}
-
 double evaluate_snn(SnnNetwork& net, const data::LabeledImages& dataset,
                     std::int64_t batch_size) {
-  Rng rng(0);
-  data::BatchIterator batches(dataset, batch_size, rng, /*shuffle_each_epoch=*/false);
-  std::int64_t correct = 0;
-  for (std::int64_t b = 0; b < batches.num_batches(); ++b) {
-    const data::Batch batch = batches.batch(b);
-    const Tensor logits = net.forward(batch.images, /*train=*/false);
-    correct += static_cast<std::int64_t>(
-        dnn::accuracy(logits, batch.labels) * static_cast<double>(batch.size()) + 0.5);
-  }
-  return static_cast<double>(correct) / static_cast<double>(dataset.size());
+  return dnn::top1_accuracy(dataset, batch_size, [&net](const Tensor& images) {
+    return net.forward(images, false);
+  });
 }
 
 }  // namespace ullsnn::snn

@@ -137,10 +137,6 @@ class SnnNetwork {
   /// Total spikes emitted across all layers since the last reset_stats().
   std::int64_t total_spikes() const;
 
-  /// Per-sample average spike count per neuron, layer by layer (the Fig. 4(a)
-  /// metric), given how many input samples contributed to the counters.
-  std::vector<double> spikes_per_neuron(std::int64_t samples) const;
-
  private:
   std::vector<SpikingLayerPtr> layers_;
   std::int64_t time_steps_;

@@ -825,10 +825,13 @@ void maxpool2d_backward(const Tensor& grad_output,
   const std::int64_t planes = grad_output.dim(0) * grad_output.dim(1);
   const std::int64_t out_plane = grad_output.dim(2) * grad_output.dim(3);
   // Argmax targets recorded by the forward pass stay inside their own input
-  // plane, so the plane-parallel scatter writes disjoint regions.
+  // plane, so the plane-parallel scatter writes disjoint regions. A window
+  // with no maximum (all NaN or -inf) recorded -1: its output is a constant
+  // -inf, so it passes no gradient.
   for_each_plane(planes, [&](std::int64_t nc) {
     for (std::int64_t i = nc * out_plane; i < (nc + 1) * out_plane; ++i) {
-      grad_input[argmax[static_cast<std::size_t>(i)]] += grad_output[i];
+      const std::int64_t at = argmax[static_cast<std::size_t>(i)];
+      if (at >= 0) grad_input[at] += grad_output[i];
     }
   });
 }

@@ -1,6 +1,6 @@
-// HealthMonitor unit tests plus end-to-end guard behaviour: a NaN poisoned
-// into the weights mid-run must abort under kThrow and be rolled back and
-// survived under kRollback.
+// HealthMonitor unit tests plus end-to-end guard behaviour in both training
+// stages: a NaN poisoned into the weights mid-run must abort under kThrow
+// and be rolled back and survived under kRollback.
 #include "src/robust/health.h"
 
 #include <gtest/gtest.h>
@@ -8,13 +8,11 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
-#include "src/data/dataset.h"
-#include "src/data/synthetic_cifar.h"
-#include "src/dnn/activations.h"
-#include "src/dnn/linear.h"
-#include "src/dnn/sequential.h"
-#include "src/dnn/trainer.h"
+#include "tests/robust/tiny_stage.h"
 
 namespace ullsnn::robust {
 namespace {
@@ -158,45 +156,13 @@ TEST(HealthMonitorTest, RestoreWithoutSnapshotIsNoOp) {
 }
 
 // ---- trainer integration: survive an injected mid-run NaN burst ----
+//
+// Both training stages run the same loop, so each case runs for both.
 
-data::LabeledImages easy_data(std::int64_t n, std::uint64_t salt) {
-  data::SyntheticCifarSpec spec;
-  spec.image_size = 8;
-  spec.num_classes = 3;
-  spec.sign_flip_prob = 0.0F;
-  spec.occluder_prob = 0.0F;
-  spec.noise_stddev = 0.15F;
-  data::SyntheticCifar gen(spec);
-  data::LabeledImages d = gen.generate(n, salt);
-  data::standardize(d);
-  return d;
-}
+class GuardedTrainingTest : public testing::TestWithParam<Stage> {};
 
-struct TinyModel {
-  std::unique_ptr<dnn::Sequential> model;
-  dnn::Linear* linear = nullptr;
-};
-
-TinyModel tiny_model() {
-  TinyModel tm;
-  tm.model = std::make_unique<dnn::Sequential>();
-  Rng rng(5);
-  tm.model->emplace<dnn::Flatten>();
-  tm.linear = &tm.model->emplace<dnn::Linear>(3 * 8 * 8, 3, /*bias=*/true, rng);
-  return tm;
-}
-
-dnn::TrainConfig tiny_train_config() {
-  dnn::TrainConfig config;
-  config.epochs = 5;
-  config.batch_size = 16;
-  config.lr = 0.05F;
-  config.augment = false;
-  return config;
-}
-
-bool all_params_finite(dnn::Sequential& model) {
-  for (dnn::Param* p : model.params()) {
+bool all_params_finite(const std::vector<dnn::Param*>& params) {
+  for (const dnn::Param* p : params) {
     for (std::int64_t i = 0; i < p->value.numel(); ++i) {
       if (!std::isfinite(p->value[i])) return false;
     }
@@ -204,63 +170,67 @@ bool all_params_finite(dnn::Sequential& model) {
   return true;
 }
 
-TEST(GuardedTrainingTest, NanBurstAbortsUnderThrowPolicy) {
+TEST_P(GuardedTrainingTest, NanBurstAbortsUnderThrowPolicy) {
   const data::LabeledImages train = easy_data(96, 1);
-  TinyModel tm = tiny_model();
-  dnn::TrainConfig config = tiny_train_config();
-  config.guard.policy = GuardPolicy::kThrow;
-  dnn::DnnTrainer trainer(*tm.model, config);
-  dnn::Linear* linear = tm.linear;
-  trainer.set_epoch_hook([linear](std::int64_t epoch) {
-    if (epoch == 2) linear->weight().value[0] = kNan;
+  TinyStage stage(GetParam(), {.guard = {.policy = GuardPolicy::kThrow}}, train);
+  dnn::Param* first = stage.params().front();
+  stage.trainer().set_epoch_hook([first](std::int64_t epoch) {
+    if (epoch == 2) first->value[0] = kNan;
   });
-  EXPECT_THROW(trainer.fit(train), std::runtime_error);
+  try {
+    stage.trainer().fit(train);
+    ADD_FAILURE() << "fit() did not abort";
+  } catch (const std::runtime_error& e) {
+    // Each stage names itself in the abort message.
+    const std::string who = GetParam() == Stage::kDnn ? "DnnTrainer: " : "SglTrainer: ";
+    EXPECT_EQ(std::string(e.what()).rfind(who, 0), 0U) << e.what();
+  }
 }
 
-TEST(GuardedTrainingTest, NanBurstIsRolledBackAndRunConverges) {
+TEST_P(GuardedTrainingTest, NanBurstIsRolledBackAndRunConverges) {
   const data::LabeledImages train = easy_data(96, 1);
   const data::LabeledImages test = easy_data(32, 2);
-  TinyModel tm = tiny_model();
-  dnn::TrainConfig config = tiny_train_config();
-  config.guard.policy = GuardPolicy::kRollback;
-  config.guard.retry_budget = 3;
-  dnn::DnnTrainer trainer(*tm.model, config);
-  dnn::Linear* linear = tm.linear;
+  const StageSettings settings{
+      .guard = {.policy = GuardPolicy::kRollback, .retry_budget = 3}};
+  TinyStage stage(GetParam(), settings, train);
+  dnn::Param* first = stage.params().front();
   // Poison a weight exactly once, at the top of epoch 2. The guard must
   // detect the poisoned epoch, restore the post-epoch-1 snapshot, and retry;
   // the retry's hook invocation must not re-poison.
   auto poisoned = std::make_shared<bool>(false);
-  trainer.set_epoch_hook([linear, poisoned](std::int64_t epoch) {
+  stage.trainer().set_epoch_hook([first, poisoned](std::int64_t epoch) {
     if (epoch == 2 && !*poisoned) {
       *poisoned = true;
-      linear->weight().value[0] = kNan;
+      first->value[0] = kNan;
     }
   });
   std::vector<dnn::EpochStats> history;
-  ASSERT_NO_THROW(history = trainer.fit(train));
+  ASSERT_NO_THROW(history = stage.trainer().fit(train));
   ASSERT_TRUE(*poisoned) << "hook never fired";
-  EXPECT_EQ(static_cast<std::int64_t>(history.size()), config.epochs);
-  EXPECT_TRUE(all_params_finite(*tm.model));
+  EXPECT_EQ(static_cast<std::int64_t>(history.size()), settings.epochs);
+  EXPECT_TRUE(all_params_finite(stage.params()));
   for (const dnn::EpochStats& stats : history) {
     EXPECT_TRUE(std::isfinite(stats.train_loss));
   }
   // The easy task is learnable by a linear probe: training still converged.
-  EXPECT_GT(trainer.evaluate(test), 0.5);
+  EXPECT_GT(stage.trainer().evaluate(test), 0.5);
 }
 
-TEST(GuardedTrainingTest, OffPolicyLetsNanPropagate) {
-  // Contrast case: without the guard the poisoned weight contaminates the
-  // whole model — this is the failure mode the guard exists to stop.
+TEST_P(GuardedTrainingTest, OffPolicyLetsNanPropagate) {
+  // Contrast case: without the guard the poisoned weight stays in the model
+  // and contaminates it — this is the failure mode the guard exists to stop.
   const data::LabeledImages train = easy_data(96, 1);
-  TinyModel tm = tiny_model();
-  dnn::DnnTrainer trainer(*tm.model, tiny_train_config());  // guard kOff
-  dnn::Linear* linear = tm.linear;
-  trainer.set_epoch_hook([linear](std::int64_t epoch) {
-    if (epoch == 2) linear->weight().value[0] = kNan;
+  TinyStage stage(GetParam(), {}, train);  // guard kOff
+  dnn::Param* first = stage.params().front();
+  stage.trainer().set_epoch_hook([first](std::int64_t epoch) {
+    if (epoch == 2) first->value[0] = kNan;
   });
-  ASSERT_NO_THROW(trainer.fit(train));
-  EXPECT_FALSE(all_params_finite(*tm.model));
+  ASSERT_NO_THROW(stage.trainer().fit(train));
+  EXPECT_FALSE(all_params_finite(stage.params()));
 }
+
+INSTANTIATE_TEST_SUITE_P(BothStages, GuardedTrainingTest,
+                         testing::Values(Stage::kDnn, Stage::kSgl), stage_name);
 
 }  // namespace
 }  // namespace ullsnn::robust

@@ -1,5 +1,6 @@
-// Resume determinism: a training run interrupted mid-stage and resumed from
-// its epoch checkpoint must be bitwise-identical to an uninterrupted run,
+// Resume determinism: a training run of either stage interrupted mid-stage
+// and resumed from its epoch checkpoint must be bitwise-identical to an
+// uninterrupted run,
 // and a pipeline resumed from a completed stage must reproduce the
 // uninterrupted PipelineResult exactly.
 #include <gtest/gtest.h>
@@ -7,35 +8,18 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/core/pipeline.h"
-#include "src/data/dataset.h"
-#include "src/data/synthetic_cifar.h"
-#include "src/dnn/activations.h"
-#include "src/dnn/linear.h"
-#include "src/dnn/sequential.h"
-#include "src/dnn/trainer.h"
 #include "src/robust/checkpoint.h"
+#include "tests/robust/tiny_stage.h"
 
 namespace ullsnn::robust {
 namespace {
-
-data::LabeledImages easy_data(std::int64_t n, std::uint64_t salt,
-                              std::int64_t image_size = 8) {
-  data::SyntheticCifarSpec spec;
-  spec.image_size = image_size;
-  spec.num_classes = 3;
-  spec.sign_flip_prob = 0.0F;
-  spec.occluder_prob = 0.0F;
-  spec.noise_stddev = 0.15F;
-  data::SyntheticCifar gen(spec);
-  data::LabeledImages d = gen.generate(n, salt);
-  data::standardize(d);
-  return d;
-}
 
 std::uint32_t float_bits(float v) {
   std::uint32_t bits = 0;
@@ -43,9 +27,8 @@ std::uint32_t float_bits(float v) {
   return bits;
 }
 
-void expect_params_bitwise_equal(dnn::Sequential& a, dnn::Sequential& b) {
-  const std::vector<dnn::Param*> pa = a.params();
-  const std::vector<dnn::Param*> pb = b.params();
+void expect_params_bitwise_equal(const std::vector<dnn::Param*>& pa,
+                                 const std::vector<dnn::Param*>& pb) {
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i) {
     ASSERT_EQ(pa[i]->value.numel(), pb[i]->value.numel()) << pa[i]->name;
@@ -73,42 +56,98 @@ dnn::TrainConfig make_train_config() {
   return config;
 }
 
-TEST(TrainerResumeTest, InterruptedRunResumesBitwiseIdentically) {
+// Both training stages run the same loop, so each resume case runs for both.
+class TrainerResumeTest : public testing::TestWithParam<Stage> {
+ protected:
+  /// One file per case and stage: ctest runs the cases in parallel.
+  std::string checkpoint_path(const std::string& name) const {
+    return testing::TempDir() + "/ullsnn_" + name + "_" +
+           (GetParam() == Stage::kDnn ? "dnn" : "sgl") + ".ckpt";
+  }
+};
+
+TEST_P(TrainerResumeTest, InterruptedRunResumesBitwiseIdentically) {
   const data::LabeledImages train = easy_data(96, 1);
-  const std::string ckpt = testing::TempDir() + "/ullsnn_trainer_resume.ckpt";
+  const std::string ckpt = checkpoint_path("trainer_resume");
   std::filesystem::remove(ckpt);
+  // Augmentation consumes the RNG: the hard case.
+  const StageSettings settings{.epochs = 6, .augment = true, .guard = {}};
 
   // Reference: 6 uninterrupted epochs, no checkpointing.
-  auto ref_model = make_model();
-  dnn::DnnTrainer ref_trainer(*ref_model, make_train_config());
-  ref_trainer.fit(train);
+  TinyStage ref(GetParam(), settings, train);
+  ref.trainer().fit(train);
 
   // Interrupted run: the epoch hook kills the process stand-in (throws) at
   // the top of epoch 3, after epochs 0-2 were checkpointed.
-  auto model = make_model();
+  TinyStage run(GetParam(), settings, train);
   {
-    dnn::DnnTrainer trainer(*model, make_train_config());
     TrainCheckpointer checkpointer(ckpt);
-    trainer.set_epoch_hook([](std::int64_t epoch) {
+    run.trainer().set_epoch_hook([](std::int64_t epoch) {
       if (epoch == 3) throw std::runtime_error("simulated crash");
     });
-    EXPECT_THROW(trainer.fit(train, nullptr, &checkpointer), std::runtime_error);
+    EXPECT_THROW(run.trainer().fit(train, nullptr, &checkpointer), std::runtime_error);
   }
   ASSERT_TRUE(std::filesystem::exists(ckpt));
 
   // Resume in a fresh trainer (fresh RNG, fresh momentum — everything must
   // come from the checkpoint) and finish the remaining epochs.
-  dnn::DnnTrainer resumed(*model, make_train_config());
+  run.restart();
   TrainCheckpointer checkpointer(ckpt);
   const std::vector<dnn::EpochStats> history =
-      resumed.fit(train, nullptr, &checkpointer);
+      run.trainer().fit(train, nullptr, &checkpointer);
   // Only epochs 3..5 were run after the resume.
   EXPECT_EQ(history.size(), 3U);
   EXPECT_EQ(history.front().epoch, 3);
 
-  expect_params_bitwise_equal(*model, *ref_model);
+  expect_params_bitwise_equal(run.params(), ref.params());
   std::filesystem::remove(ckpt);
 }
+
+TEST_P(TrainerResumeTest, ResumeAfterRollbackKeepsTheBackoff) {
+  // A run that rolled back trains on at a reduced LR with part of its retry
+  // budget spent; a crash and resume must not reset either.
+  const data::LabeledImages train = easy_data(96, 1);
+  const std::string ckpt = checkpoint_path("rollback_resume");
+  std::filesystem::remove(ckpt);
+  const StageSettings settings{
+      .epochs = 6, .augment = true, .guard = {.policy = GuardPolicy::kRollback}};
+  // One NaN at the top of epoch 2 (the retry is not re-poisoned); optionally
+  // a crash at the top of epoch 4.
+  const auto install_hooks = [](TinyStage& stage, bool crash) {
+    dnn::Param* first = stage.params().front();
+    auto poisoned = std::make_shared<bool>(false);
+    stage.trainer().set_epoch_hook([first, poisoned, crash](std::int64_t epoch) {
+      if (epoch == 2 && !*poisoned) {
+        *poisoned = true;
+        first->value[0] = std::numeric_limits<float>::quiet_NaN();
+      }
+      if (crash && epoch == 4) throw std::runtime_error("simulated crash");
+    });
+  };
+
+  TinyStage ref(GetParam(), settings, train);
+  install_hooks(ref, /*crash=*/false);
+  ref.trainer().fit(train);
+
+  TinyStage run(GetParam(), settings, train);
+  install_hooks(run, /*crash=*/true);
+  {
+    TrainCheckpointer checkpointer(ckpt);
+    EXPECT_THROW(run.trainer().fit(train, nullptr, &checkpointer), std::runtime_error);
+  }
+  run.restart();
+  TrainCheckpointer checkpointer(ckpt);
+  const std::vector<dnn::EpochStats> history =
+      run.trainer().fit(train, nullptr, &checkpointer);
+  ASSERT_EQ(history.size(), 2U);
+  EXPECT_EQ(history.front().epoch, 4);
+
+  expect_params_bitwise_equal(run.params(), ref.params());
+  std::filesystem::remove(ckpt);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothStages, TrainerResumeTest,
+                         testing::Values(Stage::kDnn, Stage::kSgl), stage_name);
 
 TEST(TrainerResumeTest, CheckpointerRestoreRejectsMismatchedModel) {
   const data::LabeledImages train = easy_data(48, 1);

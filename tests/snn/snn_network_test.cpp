@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/energy/spike_monitor.h"
 #include "src/tensor/random.h"
 
 namespace ullsnn::snn {
@@ -62,11 +63,12 @@ TEST(SnnNetworkTest, NegativeDriveProducesNoSpikes) {
 
 TEST(SnnNetworkTest, SpikesPerNeuronNormalization) {
   auto net = tiny_net(4, 1.0F);
-  Tensor images({2, 4}, 1.5F);  // batch of 2, all neurons spike every step
-  net->forward(images, false);
-  const std::vector<double> rates = net->spikes_per_neuron(/*samples=*/2);
-  ASSERT_EQ(rates.size(), 1U);  // only the hidden layer has neurons
-  EXPECT_NEAR(rates[0], 4.0, 1e-9);  // 4 spikes per neuron per image
+  data::LabeledImages batch;
+  batch.images = Tensor({2, 4}, 1.5F);  // 2 samples, all neurons spike every step
+  batch.labels = {0, 1};
+  const energy::ActivityReport report = energy::measure_activity(*net, batch);
+  ASSERT_EQ(report.layers.size(), 1U);  // only the hidden layer has neurons
+  EXPECT_NEAR(report.layers[0].spikes_per_neuron, 4.0, 1e-9);  // per neuron per image
 }
 
 TEST(SnnNetworkTest, ResetStatsClearsCounters) {
@@ -112,12 +114,6 @@ TEST(SnnNetworkTest, MoreStepsMoreSpikes) {
   net2->forward(images, false);
   net8->forward(images, false);
   EXPECT_GT(net8->total_spikes(), net2->total_spikes());
-}
-
-TEST(SnnNetworkTest, SpikesPerNeuronValidatesSamples) {
-  auto net = tiny_net(2, 1.0F);
-  net->forward(Tensor({1, 4}, 1.0F), false);
-  EXPECT_THROW(net->spikes_per_neuron(0), std::invalid_argument);
 }
 
 // Regression test for the serving isolation contract: repeating an input

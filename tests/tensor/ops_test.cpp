@@ -274,6 +274,24 @@ TEST(PoolTest, MaxPoolOnNegativeValues) {
   EXPECT_EQ(argmax[0], 1);
 }
 
+TEST(PoolTest, MaxPoolBackwardSkipsWindowsWithoutMaximum) {
+  // A NaN-poisoned activation map (a fault the training health guard must
+  // survive until its epoch-end check) has all-NaN windows: they record no
+  // argmax and must pass no gradient rather than write out of bounds.
+  Pool2dSpec spec;
+  Tensor input({1, 1, 2, 4}, std::numeric_limits<float>::quiet_NaN());
+  input[2] = 3.0F;  // the second window has a maximum
+  Tensor out({1, 1, 1, 2});
+  std::vector<std::int64_t> argmax;
+  maxpool2d_forward(input, out, spec, &argmax);
+  EXPECT_EQ(argmax[0], -1);
+  EXPECT_EQ(argmax[1], 2);
+  Tensor gin({1, 1, 2, 4}, 7.0F);
+  maxpool2d_backward(Tensor({1, 1, 1, 2}, 1.0F), argmax, gin);
+  EXPECT_FLOAT_EQ(gin.sum(), 1.0F);
+  EXPECT_FLOAT_EQ(gin[2], 1.0F);
+}
+
 TEST(PoolTest, MaxPoolWithoutArgmaxIsBitwiseEqual) {
   // Eval pools without index tracking; the values must be the tracked ones.
   // The 2x2 windows along the top of plane 0 hold ties, signed-zero ties,

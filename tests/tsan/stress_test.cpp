@@ -1,7 +1,8 @@
 // Concurrency stress suite for the shared-state hot spots: ThreadPool /
-// parallel_for, the obs metrics registry, the robust:: primitives the
-// serving engine shares across workers (FaultInjector, HealthMonitor), and
-// the engine's admission queue (serve::LaneQueue). Runs
+// parallel_for, the obs metrics registry, the robust:: primitives that are
+// safe to share across threads (FaultInjector; HealthMonitor, whose const
+// scan the serving engine's workers share), and the engine's admission
+// queue (serve::LaneQueue). Runs
 // in every build, but its purpose is the -DULLSNN_SANITIZE=thread
 // configuration (`ctest -L tsan`), where ThreadSanitizer turns any data race
 // these hammers expose into a hard failure. Assertions here are deliberately
@@ -182,9 +183,9 @@ TEST(TsanStressTest, FaultInjectorParamInjectionRacesTensorInjection) {
 }
 
 TEST(TsanStressTest, HealthMonitorSharedScanSnapshotRestoreDecide) {
-  // The serving composition: many threads scan (const path) while others
-  // snapshot/restore and run decide() — every mutating entry point racing
-  // the read-only ones.
+  // Many threads scan (the const path the serving workers share) while
+  // others snapshot/restore and run decide() — every mutating entry point
+  // racing the read-only ones, which is what the monitor promises to allow.
   robust::GuardConfig config;
   config.policy = robust::GuardPolicy::kRollback;
   config.retry_budget = 1000000;  // never aborts during the stress window
