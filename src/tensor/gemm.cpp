@@ -514,41 +514,91 @@ void PackedB::pack(MatView b, std::int64_t k, std::int64_t n, Arena& arena) {
   pack(b, k, n, arena.alloc_floats(packed_floats(k, n)));
 }
 
+namespace {
+
+/// Lays B's panels out in `storage` block by block, in the order gemm_blocked
+/// walks them, and has `fill(dst, pc, kc, j, jr)` write each [kc x nr] panel:
+/// rows [pc, pc+kc) of columns [j, j+jr), zero past column jr.
+template <typename Block, typename Fill>
+void pack_panels(std::int64_t k, std::int64_t n, std::int64_t nr, float* storage,
+                 std::vector<Block>& blocks, const Fill& fill) {
+  blocks.clear();
+  for (std::int64_t jc = 0; jc < n; jc += kNC) {
+    const std::int64_t nc = std::min(kNC, n - jc);
+    for (std::int64_t pc = 0; pc < k; pc += kKC) {
+      const std::int64_t kc = std::min(kKC, k - pc);
+      float* data = storage;
+      storage += ceil_div(nc, nr) * kc * nr;
+      for (std::int64_t j0 = 0; j0 < nc; j0 += nr) {
+        fill(data + (j0 / nr) * kc * nr, pc, kc, jc + j0, std::min(nr, nc - j0));
+      }
+      blocks.push_back({data, pc, kc, jc, nc});
+    }
+  }
+}
+
+}  // namespace
+
 void PackedB::pack(MatView b, std::int64_t k, std::int64_t n, float* storage) {
   k_ = k;
   n_ = n;
   nr_ = kernel_plan().fp32_nr;
   const std::int64_t nr = nr_;
-  blocks_.clear();
-  for (std::int64_t jc = 0; jc < n; jc += kNC) {
-    const std::int64_t nc = std::min(kNC, n - jc);
-    for (std::int64_t pc = 0; pc < k; pc += kKC) {
-      const std::int64_t kc = std::min(kKC, k - pc);
-      const std::int64_t panels = ceil_div(nc, nr);
-      float* data = storage;
-      storage += panels * kc * nr;
-      for (std::int64_t j0 = 0; j0 < nc; j0 += nr) {
-        float* dst = data + (j0 / nr) * kc * nr;
-        const std::int64_t jr = std::min(nr, nc - j0);
-        if (b.cs == 1) {
-          // Contiguous source rows: bulk copy + zero pad.
+  pack_panels(k, n, nr, storage, blocks_,
+              [&](float* dst, std::int64_t pc, std::int64_t kc, std::int64_t j,
+                  std::int64_t jr) {
+                if (b.cs == 1) {
+                  // Contiguous source rows: bulk copy + zero pad.
+                  for (std::int64_t kk = 0; kk < kc; ++kk) {
+                    const float* src = b.data + (pc + kk) * b.rs + j;
+                    std::memcpy(dst + kk * nr, src,
+                                static_cast<std::size_t>(jr) * sizeof(float));
+                    for (std::int64_t jj = jr; jj < nr; ++jj) dst[kk * nr + jj] = 0.0F;
+                  }
+                } else {
+                  for (std::int64_t kk = 0; kk < kc; ++kk) {
+                    const float* src = b.data + (pc + kk) * b.rs + j * b.cs;
+                    std::int64_t jj = 0;
+                    for (; jj < jr; ++jj) dst[kk * nr + jj] = src[jj * b.cs];
+                    for (; jj < nr; ++jj) dst[kk * nr + jj] = 0.0F;
+                  }
+                }
+              });
+}
+
+void PackedB::pack(const PatchView& a, std::int64_t k, std::int64_t n, Arena& arena) {
+  k_ = k;
+  n_ = n;
+  nr_ = kernel_plan().fp32_nr;
+  const std::int64_t nr = nr_;
+  pack_panels(
+      k, n, nr, arena.alloc_floats(packed_floats(k, n)), blocks_,
+      [&](float* dst, std::int64_t pc, std::int64_t kc, std::int64_t j,
+          std::int64_t jr) {
+        // Column p of B is output pixel p. Pixels of one output row sit
+        // `stride` apart in every image row, so the panel's columns split
+        // into runs, one per output row they touch, and each run is copied
+        // per k step as one (strided) segment of an image row.
+        const std::int64_t* off = a.offsets + pc;
+        for (std::int64_t jj = 0; jj < jr;) {
+          const std::int64_t p = j + jj;
+          const std::int64_t len = std::min(a.ow - p % a.ow, jr - jj);
+          const float* base = a.row(p);
           for (std::int64_t kk = 0; kk < kc; ++kk) {
-            const float* src = b.data + (pc + kk) * b.rs + (jc + j0);
-            std::memcpy(dst + kk * nr, src, static_cast<std::size_t>(jr) * sizeof(float));
-            for (std::int64_t j = jr; j < nr; ++j) dst[kk * nr + j] = 0.0F;
+            const float* src = base + off[kk];
+            float* out = dst + kk * nr + jj;
+            if (a.stride == 1) {
+              std::memcpy(out, src, static_cast<std::size_t>(len) * sizeof(float));
+            } else {
+              for (std::int64_t t = 0; t < len; ++t) out[t] = src[t * a.stride];
+            }
           }
-        } else {
-          for (std::int64_t kk = 0; kk < kc; ++kk) {
-            const float* src = b.data + (pc + kk) * b.rs + (jc + j0) * b.cs;
-            std::int64_t j = 0;
-            for (; j < jr; ++j) dst[kk * nr + j] = src[j * b.cs];
-            for (; j < nr; ++j) dst[kk * nr + j] = 0.0F;
-          }
+          jj += len;
         }
-      }
-      blocks_.push_back({data, pc, kc, jc, nc});
-    }
-  }
+        for (std::int64_t kk = 0; kk < kc; ++kk) {
+          for (std::int64_t jj = jr; jj < nr; ++jj) dst[kk * nr + jj] = 0.0F;
+        }
+      });
 }
 
 void gemm_packed(MatView a, const PackedB& b, float* c, std::int64_t m,
@@ -563,6 +613,10 @@ void gemm_packed(PatchView a, const PackedB& b, float* c, std::int64_t m,
   gemm_blocked(b.blocks_, b.nr_, c, m, b.n_, accumulate,
                [&](std::int64_t ic, std::int64_t mc, std::int64_t pc, std::int64_t kc,
                    float* dst) { pack_patch_block(a, ic, mc, pc, kc, dst); });
+}
+
+std::int64_t gemm_micro_tiles(std::int64_t m, std::int64_t n) {
+  return ceil_div(m, kMR) * ceil_div(n, kernel_plan().fp32_nr);
 }
 
 void gemm(MatView a, MatView b, float* c, std::int64_t m, std::int64_t k,

@@ -13,8 +13,12 @@
 // row panels, with edge tiles zero-padded so the micro-kernel never branches
 // on geometry. Transposed operands cost nothing extra — packing reads through
 // a strided MatView, so matmul_at / matmul_bt share the single kernel. A
-// convolution's A operand is packed straight from the image through a
-// PatchView, so the dense conv forward never builds an im2row matrix.
+// convolution's patch matrix P (its implicit im2row matrix) is packed straight
+// from the zero-bordered image through a PatchView, as either operand: as A
+// for P * W^T (output channels on the vector lanes), or as B = P^T for
+// W * P^T (output pixels on the lanes, C already in NCHW order), so the dense
+// conv forward never builds an im2row matrix. conv_pixels_on_lanes (ops.h)
+// picks the orientation, mainly by gemm_micro_tiles.
 //
 // PackedB lets a caller pack a reused right-hand operand once (conv weights
 // across the batch-sample loop; linear weights across time steps) and run
@@ -97,6 +101,12 @@ class PackedB {
   /// Same panels, written to `storage`, which must hold packed_floats(k, n)
   /// floats.
   void pack(MatView b, std::int64_t k, std::int64_t n, float* storage);
+  /// Pack B = P^T, the transposed im2row matrix of `a` (k = C*K*K rows, one
+  /// column per output pixel, n = OH*OW), into panels allocated from
+  /// `arena`: each panel row is a copy of contiguous runs of output pixels
+  /// (strided at stride > 1) straight from the image. Same panels as pack()
+  /// over the materialised transposed im2row matrix.
+  void pack(const PatchView& a, std::int64_t k, std::int64_t n, Arena& arena);
   /// Floats pack() writes for a [k, n] operand under the active plan.
   static std::size_t packed_floats(std::int64_t k, std::int64_t n);
 
@@ -133,6 +143,11 @@ void gemm_packed(MatView a, const PackedB& b, float* c, std::int64_t m,
 /// rows: one blocked loop runs both, only the A packing differs.
 void gemm_packed(PatchView a, const PackedB& b, float* c, std::int64_t m,
                  bool accumulate);
+
+/// Micro-tiles gemm_packed runs for an [m, n] result under the active kernel
+/// plan: ceil(m / MR) * ceil(n / NR). Of C = A * B and C^T = B^T * A^T, the
+/// one with the smaller count pads fewer register lanes.
+std::int64_t gemm_micro_tiles(std::int64_t m, std::int64_t n);
 
 /// C[m, n] (+)= A[m, k] * B[k, n], both operands through strided views,
 /// C row-major contiguous. Packs B into the thread arena internally.

@@ -283,14 +283,20 @@ const std::int64_t* patch_offsets(const Conv2dSpec& spec, std::int64_t height,
   return offsets;
 }
 
-/// Dense convolution of one sample: out_t[OHW, Cout] = im2row(img) * W^T,
-/// bitwise, through the int8 panels when `qweight` is given, else the fp32
-/// `panels`. A is read straight from a zero-bordered copy of the image made
-/// in `arena` (the image itself when there is no padding).
-void conv_sample_dense(const float* img, const std::int64_t* offsets,
+/// Dense convolution of one sample into its NCHW slice `out` [Cout, OHW],
+/// plus `bias[co]` on channel co when given. A zero-bordered copy of the image
+/// is made in `arena` (none when there is no padding) and the patch matrix P
+/// is read straight from it. With `qweight` the int8 product P * W^T runs and
+/// is transposed into place. fp32 picks its GEMM orientation by shape alone
+/// (conv_pixels_on_lanes): out = W * P^T, with `w` viewing W as [Cout, C*K*K],
+/// lands in NCHW order directly; otherwise P * W^T runs against the W^T
+/// `panels` and is transposed into place. Both orientations give every output
+/// the same FMA chain from +0, over the same K order and kKC split, so the
+/// result is bitwise the same either way.
+void conv_sample_dense(const float* img, const std::int64_t* offsets, MatView w,
                        const PackedB* panels, const QuantizedPackedB* qweight,
-                       float* out_t, const Conv2dSpec& spec, std::int64_t height,
-                       std::int64_t width, Arena& arena) {
+                       const float* bias, float* out, const Conv2dSpec& spec,
+                       std::int64_t height, std::int64_t width, Arena& arena) {
   const std::int64_t pad = spec.pad;
   const std::int64_t hp = height + 2 * pad;
   const std::int64_t wp = width + 2 * pad;
@@ -310,14 +316,39 @@ void conv_sample_dense(const float* img, const std::int64_t* offsets,
   const std::int64_t ow = spec.out_extent(width);
   const PatchView patches{image, offsets, ow, spec.stride, wp, spec.kernel};
   const std::int64_t ohw = spec.out_extent(height) * ow;
+  const std::int64_t cout = spec.out_channels;
+  if (qweight == nullptr && conv_pixels_on_lanes(cout, ohw)) {
+    PackedB pixels;
+    pixels.pack(patches, spec.in_channels * spec.kernel * spec.kernel, ohw, arena);
+    gemm_packed(w, pixels, out, cout, /*accumulate=*/false);
+    if (bias != nullptr) {
+      for (std::int64_t co = 0; co < cout; ++co) {
+        float* row = out + co * ohw;
+        for (std::int64_t p = 0; p < ohw; ++p) row[p] += bias[co];
+      }
+    }
+    ULLSNN_COUNTER_ADD("kernel.conv.pixels_on_lanes", 1);
+    return;
+  }
+  float* out_t = arena.alloc_floats(static_cast<std::size_t>(ohw * cout));
   if (qweight != nullptr) {
     gemm_packed_int8(patches, *qweight, out_t, ohw, /*accumulate=*/false);
   } else {
     gemm_packed(patches, *panels, out_t, ohw, /*accumulate=*/false);
   }
+  transpose_to_nchw(out_t, out, bias, cout, ohw);
 }
 
 }  // namespace
+
+bool conv_pixels_on_lanes(std::int64_t out_channels, std::int64_t out_pixels) {
+  // The tile count alone is not enough: at NR 16, a 64-channel 4x4 layer runs
+  // 11 micro-tiles with the pixels on the lanes against 12, yet took 1.6x as
+  // long, because re-packing its 64 x 576 W per sample outweighs the tile.
+  return out_channels <= out_pixels &&
+         gemm_micro_tiles(out_channels, out_pixels) <=
+             gemm_micro_tiles(out_pixels, out_channels);
+}
 
 void conv2d_forward(const Tensor& input, const Tensor& weight,
                     const Tensor& bias, Tensor& output, const Conv2dSpec& spec) {
@@ -329,23 +360,25 @@ void conv2d_forward(const Tensor& input, const Tensor& weight,
   const std::int64_t ohw = oh * ow;
   const std::int64_t patch = spec.in_channels * spec.kernel * spec.kernel;
   check_conv_input(input, spec, "conv2d_forward");
-  // The weight is the GEMM's right-hand operand ([patch, Cout] = W^T), so its
-  // panels are packed exactly once here and reused across the batch loop.
+  // With the channels on the lanes the weight is the GEMM's right-hand operand
+  // ([patch, Cout] = W^T), so its panels are packed exactly once here and
+  // reused across the batch loop; with the pixels on the lanes it is A, read
+  // row-major as it is.
   Arena& arena = thread_arena();
   ArenaScope scope(arena);
   PackedB wt_packed;
-  wt_packed.pack(transposed(weight.data(), patch), patch, spec.out_channels, arena);
+  if (!conv_pixels_on_lanes(spec.out_channels, ohw)) {
+    wt_packed.pack(transposed(weight.data(), patch), patch, spec.out_channels, arena);
+  }
   const std::int64_t* offsets = patch_offsets(spec, height, width, arena);
   const float* bias_data = bias.empty() ? nullptr : bias.data();
   const auto run_sample = [&](std::int64_t n) {
     Arena& local = thread_arena();
     ArenaScope sample_scope(local);
-    const float* img = input.data() + n * spec.in_channels * height * width;
-    float* out_t = local.alloc_floats(static_cast<std::size_t>(ohw * spec.out_channels));
-    conv_sample_dense(img, offsets, &wt_packed, nullptr, out_t, spec, height, width,
+    conv_sample_dense(input.data() + n * spec.in_channels * height * width, offsets,
+                      row_major(weight.data(), patch), &wt_packed, nullptr, bias_data,
+                      output.data() + n * spec.out_channels * ohw, spec, height, width,
                       local);
-    transpose_to_nchw(out_t, output.data() + n * spec.out_channels * ohw, bias_data,
-                      spec.out_channels, ohw);
   };
   if (num_threads() > 1 && batch > 1) {
     // Samples write disjoint output slices, so batch-level parallelism needs
@@ -509,8 +542,8 @@ void check_qweight(const QuantizedPackedB* qweight, std::int64_t k, std::int64_t
 }
 
 /// Body shared by both conv2d_forward_spiking forms. `wt` is the [patch, Cout]
-/// transposed weight; dense fp32 samples use `panels` when given, else pack
-/// `wt` into the arena for this call.
+/// transposed weight; dense fp32 samples that put the channels on the lanes
+/// use `panels` when given, else pack `wt` into the arena for this call.
 void conv_spiking(const Tensor& input, const float* wt, const PackedB* panels,
                   const QuantizedPackedB* qweight, Tensor& output,
                   const Conv2dSpec& spec, float density_threshold,
@@ -524,10 +557,10 @@ void conv_spiking(const Tensor& input, const float* wt, const PackedB* panels,
   const std::int64_t chw = spec.in_channels * height * width;
   Arena& arena = thread_arena();
   ArenaScope scope(arena);
-  // With an int8 weight installed, dense samples never touch the fp32 packed
-  // panels — skip the packing work entirely.
+  // Dense samples need W^T's packed panels only at fp32 with the channels on
+  // the lanes; otherwise skip the packing work entirely.
   PackedB wt_packed;
-  if (qweight == nullptr && panels == nullptr) {
+  if (qweight == nullptr && panels == nullptr && !conv_pixels_on_lanes(cout, ohw)) {
     wt_packed.pack(row_major(wt, cout), patch, cout, arena);
     panels = &wt_packed;
   }
@@ -543,14 +576,15 @@ void conv_spiking(const Tensor& input, const float* wt, const PackedB* panels,
     nnz[n] = sample_nnz;
     const bool sparse = static_cast<double>(sample_nnz) <=
                         static_cast<double>(density_threshold) * static_cast<double>(chw);
-    float* out_t = local.alloc_floats(static_cast<std::size_t>(ohw * cout));
+    float* out = output.data() + n * cout * ohw;
     if (sparse) {
-      std::memset(out_t, 0, static_cast<std::size_t>(ohw * cout) * sizeof(float));
+      float* out_t = local.alloc_floats_zeroed(static_cast<std::size_t>(ohw * cout));
       conv_sample_sparse(img, wt, out_t, spec, height, width);
+      transpose_to_nchw(out_t, out, nullptr, cout, ohw);
     } else {
-      conv_sample_dense(img, offsets, panels, qweight, out_t, spec, height, width, local);
+      conv_sample_dense(img, offsets, transposed(wt, cout), panels, qweight, nullptr, out,
+                        spec, height, width, local);
     }
-    transpose_to_nchw(out_t, output.data() + n * cout * ohw, nullptr, cout, ohw);
   };
   if (num_threads() > 1 && batch > 1) {
     parallel_for(batch, run_sample);
@@ -752,6 +786,29 @@ void for_each_plane(std::int64_t planes, const std::function<void(std::int64_t)>
     for (std::int64_t nc = 0; nc < planes; ++nc) fn(nc);
   }
 }
+
+/// Eval 2x2/2 max pool (every max pool in the model zoo) of output rows
+/// [r0, r1) of a tensor whose planes have exactly twice as many input rows as
+/// output rows, so output row r reads input rows 2r and 2r+1 of the whole
+/// tensor viewed as [rows, width]. The generic loop's compare chain from -inf
+/// in window order, unrolled, so the compiler vectorizes it across ox and NaN,
+/// ties and signed zeros still resolve exactly as there.
+void maxpool_2x2_rows(const float* in, float* out, std::int64_t r0, std::int64_t r1,
+                      std::int64_t width, std::int64_t ow) {
+  for (std::int64_t r = r0; r < r1; ++r) {
+    const float* a = in + 2 * r * width;
+    const float* b = a + width;
+    float* dst = out + r * ow;
+    for (std::int64_t ox = 0; ox < ow; ++ox) {
+      float best = -std::numeric_limits<float>::infinity();
+      best = a[2 * ox] > best ? a[2 * ox] : best;
+      best = a[2 * ox + 1] > best ? a[2 * ox + 1] : best;
+      best = b[2 * ox] > best ? b[2 * ox] : best;
+      best = b[2 * ox + 1] > best ? b[2 * ox + 1] : best;
+      dst[ox] = best;
+    }
+  }
+}
 }  // namespace
 
 void maxpool2d_forward(const Tensor& input, Tensor& output, const Pool2dSpec& spec,
@@ -767,30 +824,23 @@ void maxpool2d_forward(const Tensor& input, Tensor& output, const Pool2dSpec& sp
   }
   std::int64_t* best_at = argmax != nullptr ? argmax->data() : nullptr;
   float* out = output.data();
-  for_each_plane(batch * channels, [&](std::int64_t nc) {
+  const std::int64_t planes = batch * channels;
+  if (best_at == nullptr && spec.kernel == 2 && spec.stride == 2 && height == 2 * oh) {
+    // One flat loop over all planes' output rows; plane-parallel when
+    // threaded, with the same row body.
+    if (num_threads() > 1 && planes > 1) {
+      parallel_for(planes, [&](std::int64_t nc) {
+        maxpool_2x2_rows(input.data(), out, nc * oh, (nc + 1) * oh, width, ow);
+      });
+    } else {
+      maxpool_2x2_rows(input.data(), out, 0, planes * oh, width, ow);
+    }
+    return;
+  }
+  for_each_plane(planes, [&](std::int64_t nc) {
     const float* plane = input.data() + nc * height * width;
     const std::int64_t plane_base = nc * height * width;
     std::int64_t out_idx = nc * oh * ow;
-    if (best_at == nullptr && spec.kernel == 2 && spec.stride == 2) {
-      // Eval 2x2/2 body (every max pool in the model zoo): the generic
-      // loop's compare chain from -inf in window order, unrolled, so the
-      // compiler vectorizes it across ox and NaN, ties and signed zeros
-      // still resolve exactly as below.
-      for (std::int64_t oy = 0; oy < oh; ++oy, out_idx += ow) {
-        const float* r0 = plane + 2 * oy * width;
-        const float* r1 = r0 + width;
-        float* dst = out + out_idx;
-        for (std::int64_t ox = 0; ox < ow; ++ox) {
-          float best = -std::numeric_limits<float>::infinity();
-          best = r0[2 * ox] > best ? r0[2 * ox] : best;
-          best = r0[2 * ox + 1] > best ? r0[2 * ox + 1] : best;
-          best = r1[2 * ox] > best ? r1[2 * ox] : best;
-          best = r1[2 * ox + 1] > best ? r1[2 * ox + 1] : best;
-          dst[ox] = best;
-        }
-      }
-      return;
-    }
     for (std::int64_t oy = 0; oy < oh; ++oy) {
       for (std::int64_t ox = 0; ox < ow; ++ox, ++out_idx) {
         float best = -std::numeric_limits<float>::infinity();

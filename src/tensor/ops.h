@@ -82,6 +82,15 @@ void im2row(const float* img, float* rows, std::int64_t channels,
 void row2im(const float* rows, float* img, std::int64_t channels,
             std::int64_t height, std::int64_t width, const Conv2dSpec& spec);
 
+/// True when the dense fp32 conv forwards compute a layer with
+/// `out_channels` outputs over `out_pixels` = OH*OW pixels as W * P^T, with the
+/// output pixels on the micro-kernel's vector lanes, rather than as P * W^T:
+/// under the active kernel plan that orientation runs no more micro-tiles
+/// (gemm_micro_tiles), and W, which it re-packs for every sample, is no
+/// larger than the patch matrix P. Both give bitwise the same output; the
+/// kernel.conv.pixels_on_lanes counter counts the samples that ran this way.
+bool conv_pixels_on_lanes(std::int64_t out_channels, std::int64_t out_pixels);
+
 /// Forward convolution. input [N,Cin,H,W], weight [Cout,Cin,K,K],
 /// bias [Cout] (may be empty), output [N,Cout,OH,OW].
 void conv2d_forward(const Tensor& input, const Tensor& weight,

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/tensor/arena.h"
 #include "src/tensor/dispatch.h"
 #include "src/tensor/ops.h"
@@ -425,6 +426,11 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
 
 class PatchPackedConvTest : public ::testing::TestWithParam<KernelIsa> {};
 
+/// Dense fp32 conv samples that ran with the output pixels on the vector lanes.
+std::int64_t pixels_on_lanes_samples() {
+  return obs::Registry::instance().counter("kernel.conv.pixels_on_lanes").value();
+}
+
 TEST_P(PatchPackedConvTest, BitwiseEqualToIm2rowGemm) {
   // Every dense conv forward must give exactly the bits of the im2row
   // lowering: conv2d_forward with and without bias, and both dense
@@ -435,6 +441,16 @@ TEST_P(PatchPackedConvTest, BitwiseEqualToIm2rowGemm) {
   // of 16 or more pixels (widths 19-23 with Cin 1-3, and 34 with Cin 64) take
   // the int8 quantizer's pixel-vector path, with vectors starting at every
   // row offset within a panel and every length of the last k-quad.
+  //
+  // fp32 picks its GEMM orientation by shape (conv_pixels_on_lanes), and the
+  // grid runs both on every tier: pixels on the lanes (W * P^T) for few
+  // channels over many pixels, including OH*OW past one 1024-column B block
+  // (40x40), K past one 256 block, stride 2 with pad 0, and output rows
+  // shorter than a panel; channels on the lanes (P * W^T) for the rest. Of
+  // the served VGG-11's shapes, conv0 (3 -> 8 channels at 32x32) puts the
+  // pixels on the lanes on every tier, conv1 (8 -> 16 at 16x16) at NR 32 but
+  // not at NR 16, and conv5 (64 -> 64 at 4x4) on no tier. The
+  // kernel.conv.pixels_on_lanes counter shows which orientation each call ran.
   struct Geometry {
     std::int64_t cin, cout, h, w;
   };
@@ -453,9 +469,18 @@ TEST_P(PatchPackedConvTest, BitwiseEqualToIm2rowGemm) {
   cases.push_back({Conv2dSpec{64, 24, 3, 1, 1}, Geometry{64, 24, 7, 5}});
   cases.push_back({Conv2dSpec{64, 40, 3, 2, 1}, Geometry{64, 40, 6, 9}});
   cases.push_back({Conv2dSpec{64, 16, 3, 1, 1}, Geometry{64, 16, 4, 34}});
+  cases.push_back({Conv2dSpec{3, 8, 3, 1, 1}, Geometry{3, 8, 32, 32}});     // conv0
+  cases.push_back({Conv2dSpec{8, 16, 3, 1, 1}, Geometry{8, 16, 16, 16}});   // conv1
+  cases.push_back({Conv2dSpec{64, 64, 3, 1, 1}, Geometry{64, 64, 4, 4}});   // conv5
+  cases.push_back({Conv2dSpec{2, 7, 3, 1, 1}, Geometry{2, 7, 40, 40}});     // 1600 px
+  cases.push_back({Conv2dSpec{3, 5, 3, 2, 0}, Geometry{3, 5, 67, 67}});     // 1089 px
+  cases.push_back({Conv2dSpec{32, 9, 3, 1, 1}, Geometry{32, 9, 9, 13}});    // K 288
+  cases.push_back({Conv2dSpec{31, 10, 3, 2, 0}, Geometry{31, 10, 15, 17}}); // K 279
   IsaGuard isa_guard;
   ThreadGuard thread_guard;
   set_kernel_isa_for_testing(GetParam());
+  std::int64_t pixel_cases = 0;
+  std::int64_t channel_cases = 0;
   for (const auto& [spec, g] : cases) {
     Rng rng(31);
     Tensor input({3, g.cin, g.h, g.w});
@@ -471,6 +496,21 @@ TEST_P(PatchPackedConvTest, BitwiseEqualToIm2rowGemm) {
     const PreparedWeight prepared_int8(weight.data(), g.cout, patch, Precision::kInt8);
     const Tensor int8 =
         im2row_gemm_conv(input, weight, nullptr, spec, prepared_int8.int8_panels());
+    const std::int64_t ohw = with_bias.dim(2) * with_bias.dim(3);
+    const bool pixels = conv_pixels_on_lanes(g.cout, ohw);
+    ++(pixels ? pixel_cases : channel_cases);
+    const std::int64_t nr = kernel_plan().fp32_nr;
+    if (g.cout == 8 && g.h == 32) {
+      EXPECT_TRUE(pixels) << "conv0 at NR " << nr;
+    }
+    if (g.cout == 16 && g.h == 16) {
+      EXPECT_EQ(pixels, nr == 32) << "conv1 at NR " << nr;
+    }
+    if (g.cout == 64) {
+      EXPECT_FALSE(pixels) << "conv5 at NR " << nr;
+    }
+    // Samples each fp32 call must run with the pixels on the lanes.
+    const std::int64_t expected_runs = pixels ? input.dim(0) : 0;
     for (const int threads : {1, 2}) {
       set_num_threads(threads);
       const std::string where = std::string(to_string(GetParam())) + " threads " +
@@ -478,29 +518,43 @@ TEST_P(PatchPackedConvTest, BitwiseEqualToIm2rowGemm) {
                                 std::to_string(spec.kernel) + " s" +
                                 std::to_string(spec.stride) + " p" +
                                 std::to_string(spec.pad) + " cin " +
-                                std::to_string(g.cin) + " " + std::to_string(g.h) +
+                                std::to_string(g.cin) + " cout " +
+                                std::to_string(g.cout) + " " + std::to_string(g.h) +
                                 "x" + std::to_string(g.w);
       Tensor out(with_bias.shape());
+      std::int64_t runs = pixels_on_lanes_samples();
+      const auto ran = [&] {
+        const std::int64_t before = runs;
+        runs = pixels_on_lanes_samples();
+        return runs - before;
+      };
       conv2d_forward(input, weight, bias, out, spec);
       EXPECT_TRUE(bitwise_equal(out, with_bias)) << "conv2d_forward+bias " << where;
+      EXPECT_EQ(ran(), expected_runs) << "conv2d_forward+bias " << where;
       conv2d_forward(input, weight, Tensor(), out, spec);
       EXPECT_TRUE(bitwise_equal(out, no_bias)) << "conv2d_forward " << where;
+      EXPECT_EQ(ran(), expected_runs) << "conv2d_forward " << where;
       // Threshold -1: every sample takes the dense path.
       SpikeKernelStats stats;
       conv2d_forward_spiking(input, prepared, out, spec, -1.0F, Precision::kFp32, stats);
       EXPECT_TRUE(bitwise_equal(out, no_bias)) << "prepared spiking " << where;
+      EXPECT_EQ(ran(), expected_runs) << "prepared spiking " << where;
       std::vector<float> wt_cache;
       conv2d_forward_spiking(input, weight, out, spec, -1.0F, wt_cache, stats);
       EXPECT_TRUE(bitwise_equal(out, no_bias)) << "per-call spiking " << where;
+      EXPECT_EQ(ran(), expected_runs) << "per-call spiking " << where;
       conv2d_forward_spiking(input, prepared_int8, out, spec, -1.0F, Precision::kInt8,
                              stats);
       EXPECT_TRUE(bitwise_equal(out, int8)) << "prepared int8 spiking " << where;
       conv2d_forward_spiking(input, weight, out, spec, -1.0F, wt_cache, stats,
                              prepared_int8.int8_panels());
       EXPECT_TRUE(bitwise_equal(out, int8)) << "per-call int8 spiking " << where;
+      EXPECT_EQ(ran(), 0) << "int8 " << where;
       EXPECT_EQ(stats.dense_samples, 12);
     }
   }
+  EXPECT_GT(pixel_cases, 0);
+  EXPECT_GT(channel_cases, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSupportedTiers, PatchPackedConvTest,

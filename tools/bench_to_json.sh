@@ -30,6 +30,10 @@
 #   ULLSNN_BENCH_FILTER    --benchmark_filter regex (default: everything)
 #   ULLSNN_BENCH_MIN_TIME  --benchmark_min_time seconds per repetition, as a
 #                          plain double (e.g. 0.1); unset = library default
+# Repetitions run in random interleaved order across the whole suite, so the
+# repetitions of one benchmark sample different moments of the run: a slow
+# spell of a shared host then costs a benchmark at most some of them, not
+# all, and the comparator's minimum stays put.
 #
 # Environment (artifact mode):
 #   ULLSNN_BENCH_SCALE         quick|default|full (bench/common.h)
@@ -140,6 +144,7 @@ args=(
   --benchmark_format=json
   --benchmark_repetitions="$REPS"
   --benchmark_report_aggregates_only=false
+  --benchmark_enable_random_interleaving=true
 )
 [[ -n "$FILTER" ]] && args+=(--benchmark_filter="$FILTER")
 [[ -n "$MIN_TIME" ]] && args+=(--benchmark_min_time="$MIN_TIME")
