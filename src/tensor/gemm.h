@@ -68,10 +68,10 @@ inline MatView transposed(const float* data, std::int64_t ld) {
 /// [C, Hp, Wp] (Hp = H + 2*pad, Wp = W + 2*pad): row r = oy*ow + ox is the
 /// receptive field of output pixel (oy, ox), and its column kk reads
 ///   image[(oy*stride)*wp + ox*stride + offsets[kk]],
-/// with offsets[(c*K + ky)*K + kx] = (c*Hp + ky)*Wp + kx. The GEMMs read A
-/// straight from the image, so the [OH*OW, C*K*K] im2row matrix is never
-/// built, yet they see exactly im2row's values (the zero border supplies the
-/// padding zeros).
+/// with offsets[(c*K + ky)*K + kx] = (c*Hp + ky)*Wp + kx. The GEMMs read it
+/// straight from the image, as A or, transposed, as a packed B, so the
+/// [OH*OW, C*K*K] im2row matrix is never built, yet they see exactly im2row's
+/// values (the zero border supplies the padding zeros).
 struct PatchView {
   const float* image = nullptr;
   const std::int64_t* offsets = nullptr;  // one per column of A
