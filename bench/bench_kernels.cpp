@@ -417,11 +417,12 @@ std::unique_ptr<snn::SnnNetwork> sparse_bench_net() {
   kaiming_normal(w, 16 * 9, rng);
   snn::IfConfig neuron;
   neuron.v_threshold = 1.0F;
-  net->emplace<snn::SpikingConv2d>(std::move(w), Conv2dSpec{16, 16, 3, 1, 1}, neuron);
+  net->emplace<snn::SynapticLayer>(
+      snn::Synapse(std::move(w), Conv2dSpec{16, 16, 3, 1, 1}), neuron);
   net->emplace<snn::SpikingFlatten>();
   Tensor wr({10, 16 * 16 * 16});
   kaiming_normal(wr, 16 * 16 * 16, rng);
-  net->emplace<snn::SpikingLinear>(std::move(wr), snn::IfConfig{}, false);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(wr)), std::nullopt);
   return net;
 }
 

@@ -36,8 +36,8 @@ std::unique_ptr<snn::SnnNetwork> build_wu_snn(std::int64_t classes, float width,
     const std::int64_t out_ch = plan[i];
     Tensor w({out_ch, in_ch, 3, 3});
     kaiming_normal(w, in_ch * 9, rng);
-    net->emplace<snn::SpikingConv2d>(std::move(w), Conv2dSpec{in_ch, out_ch, 3, 1, 1},
-                                     neuron);
+    net->emplace<snn::SynapticLayer>(
+        snn::Synapse(std::move(w), Conv2dSpec{in_ch, out_ch, 3, 1, 1}), neuron);
     if (i >= 1) {  // 4 pools: 32 -> 2
       net->emplace<snn::SpikingMaxPool>(Pool2dSpec{2, 2});
       spatial /= 2;
@@ -49,11 +49,10 @@ std::unique_ptr<snn::SnnNetwork> build_wu_snn(std::int64_t classes, float width,
   const std::int64_t hidden = ch(256);
   Tensor w1({hidden, features});
   kaiming_normal(w1, features, rng);
-  net->emplace<snn::SpikingLinear>(std::move(w1), neuron, /*with_neuron=*/true);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(w1)), neuron);
   Tensor w2({classes, hidden});
   kaiming_normal(w2, hidden, rng);
-  net->emplace<snn::SpikingLinear>(std::move(w2), snn::IfConfig{},
-                                   /*with_neuron=*/false);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(w2)), std::nullopt);
   return net;
 }
 

@@ -71,15 +71,15 @@ std::unique_ptr<snn::SnnNetwork> overhead_net() {
   Rng rng(11);
   Tensor w({16, 3, 3, 3});
   kaiming_normal(w, 3 * 9, rng);
-  net->emplace<snn::SpikingConv2d>(std::move(w), Conv2dSpec{3, 16, 3, 1, 1},
+  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(w), Conv2dSpec{3, 16, 3, 1, 1}),
                                    snn::IfConfig{});
   net->emplace<snn::SpikingFlatten>();
   Tensor wl({32, 16 * 16 * 16});
   kaiming_normal(wl, 16 * 16 * 16, rng);
-  net->emplace<snn::SpikingLinear>(std::move(wl), snn::IfConfig{}, true);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(wl)), snn::IfConfig{});
   Tensor wr({10, 32});
   kaiming_normal(wr, 32, rng);
-  net->emplace<snn::SpikingLinear>(std::move(wr), snn::IfConfig{}, false);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(wr)), std::nullopt);
   return net;
 }
 

@@ -1,6 +1,7 @@
 #include "src/artifact/artifact.h"
 
 #include <cstring>
+#include <optional>
 #include <typeinfo>
 
 #include "src/obs/log.h"
@@ -348,16 +349,17 @@ DescribedNetwork describe_network(snn::SnnNetwork& net) {
     std::string prefix = "l";
     prefix += std::to_string(i);
     LayerDesc l;
-    if (auto* conv = dynamic_cast<snn::SpikingConv2d*>(&layer)) {
-      l.kind = LayerKind::kConv2d;
-      l.conv = conv->synapse().spec();
-      l.neuron = describe_neuron(*conv->neuron_or_null());
-      l.weight = add_tensor(d, prefix + ".w", conv->synapse().weight().value);
-    } else if (auto* linear = dynamic_cast<snn::SpikingLinear*>(&layer)) {
-      l.kind = LayerKind::kLinear;
-      l.with_neuron = linear->has_neuron() ? 1 : 0;
-      if (linear->has_neuron()) l.neuron = describe_neuron(*linear->neuron_or_null());
-      l.weight = add_tensor(d, prefix + ".w", linear->synapse().weight().value);
+    if (auto* weighted = dynamic_cast<snn::SynapticLayer*>(&layer)) {
+      const snn::Synapse& synapse = weighted->synapse();
+      if (synapse.kind() == snn::Synapse::Kind::kConv) {
+        l.kind = LayerKind::kConv2d;
+        l.conv = synapse.spec();
+      } else {
+        l.kind = LayerKind::kLinear;
+        l.with_neuron = weighted->has_neuron() ? 1 : 0;
+      }
+      if (weighted->has_neuron()) l.neuron = describe_neuron(*weighted->neuron_or_null());
+      l.weight = add_tensor(d, prefix + ".w", synapse.weight().value);
     } else if (auto* pool = dynamic_cast<snn::SpikingMaxPool*>(&layer)) {
       l.kind = LayerKind::kMaxPool;
       l.pool = pool->spec();
@@ -377,7 +379,7 @@ DescribedNetwork describe_network(snn::SnnNetwork& net) {
       l.conv2 = res->conv2_synapse().spec();
       l.neuron2 = describe_neuron(res->neuron2());
       l.weight2 = add_tensor(d, prefix + ".conv2.w", res->conv2_synapse().weight().value);
-      if (snn::SynapticConv* proj = res->projection_synapse_or_null()) {
+      if (snn::Synapse* proj = res->projection_synapse_or_null()) {
         l.has_projection = 1;
         l.projection = proj->spec();
         l.weight_projection = add_tensor(d, prefix + ".proj.w", proj->weight().value);
@@ -985,15 +987,16 @@ std::unique_ptr<snn::SnnNetwork> UllsnnArtifact::make_network() const {
   for (const LayerDesc& l : arch_.layers) {
     switch (l.kind) {
       case LayerKind::kConv2d: {
-        auto& layer = net->emplace<snn::SpikingConv2d>(
-            tensor_view(l.weight), l.conv, to_if_config(l.neuron, path()));
+        auto& layer = net->emplace<snn::SynapticLayer>(
+            snn::Synapse(tensor_view(l.weight), l.conv), to_if_config(l.neuron, path()));
         layer.synapse().set_prepared_weight(prepared(l.weight));
         break;
       }
       case LayerKind::kLinear: {
-        auto& layer = net->emplace<snn::SpikingLinear>(
-            tensor_view(l.weight), to_if_config(l.neuron, path()),
-            l.with_neuron != 0);
+        const snn::IfConfig neuron = to_if_config(l.neuron, path());
+        auto& layer = net->emplace<snn::SynapticLayer>(
+            snn::Synapse(tensor_view(l.weight)),
+            l.with_neuron != 0 ? std::optional(neuron) : std::nullopt);
         layer.synapse().set_prepared_weight(prepared(l.weight));
         break;
       }

@@ -1,6 +1,7 @@
 #include "src/core/converter.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "src/dnn/activations.h"
@@ -121,8 +122,9 @@ std::unique_ptr<snn::SnnNetwork> convert(dnn::Sequential& model,
     if (auto* conv = dynamic_cast<dnn::Conv2d*>(&layer)) {
       // Peek: a Conv2d in our model zoo is always followed by ThresholdReLU.
       const SiteScaling& s = next_site();
-      net->emplace<snn::SpikingConv2d>(
-          scaled(conv->weight().value, prev_norm / s.norm_factor), conv->spec(),
+      net->emplace<snn::SynapticLayer>(
+          snn::Synapse(scaled(conv->weight().value, prev_norm / s.norm_factor),
+                       conv->spec()),
           make_if_config(s, config));
       prev_norm = s.norm_factor;
     } else if (auto* linear = dynamic_cast<dnn::Linear*>(&layer)) {
@@ -133,16 +135,14 @@ std::unique_ptr<snn::SnnNetwork> convert(dnn::Sequential& model,
           dynamic_cast<dnn::ThresholdReLU*>(&model.layer(i + 1)) != nullptr;
       if (followed_by_act) {
         const SiteScaling& s = next_site();
-        net->emplace<snn::SpikingLinear>(
-            scaled(linear->weight().value, prev_norm / s.norm_factor),
-            make_if_config(s, config),
-            /*with_neuron=*/true);
+        net->emplace<snn::SynapticLayer>(
+            snn::Synapse(scaled(linear->weight().value, prev_norm / s.norm_factor)),
+            make_if_config(s, config));
         prev_norm = s.norm_factor;
       } else {
         // Readout: undo the running normalization so logits keep their scale.
-        net->emplace<snn::SpikingLinear>(scaled(linear->weight().value, prev_norm),
-                                         snn::IfConfig{},
-                                         /*with_neuron=*/false);
+        net->emplace<snn::SynapticLayer>(
+            snn::Synapse(scaled(linear->weight().value, prev_norm)), std::nullopt);
         prev_norm = 1.0F;
       }
     } else if (auto* block = dynamic_cast<dnn::ResidualBlock*>(&layer)) {

@@ -6,8 +6,8 @@
 // integrates the held current at every step (SpikingLayer::hold_input);
 // logits are bitwise those of running the synapse every
 // step. Training and Poisson encoding run it every step. The final layer is
-// a neuron-free SpikingLinear whose per-step currents are summed into the
-// logits (output accumulation — the standard readout for
+// a neuron-free linear SynapticLayer whose per-step currents are summed into
+// the logits (output accumulation — the standard readout for
 // converted/direct-encoded SNNs).
 //
 // Backward (SGL): logits = sum_t out_t, so each step receives the same

@@ -8,10 +8,6 @@
 namespace ullsnn::snn {
 
 namespace {
-double nonzero_rate(std::int64_t nonzeros, std::int64_t elements) {
-  return elements > 0 ? static_cast<double>(nonzeros) / static_cast<double>(elements)
-                      : 0.0;
-}
 
 /// The operand for `weight` ([rows, ...], viewed as [rows, numel/rows]):
 /// `prepared` when it was built from the memory the weight reads now and has
@@ -30,30 +26,30 @@ const PreparedWeight& prepare(std::shared_ptr<const PreparedWeight>& prepared,
   return *prepared;
 }
 
-void check_prepared(const PreparedWeight* prepared, const Tensor& weight,
-                    const char* who) {
-  if (prepared == nullptr || !weight.borrowed() || prepared->source() != weight.data() ||
-      prepared->rows() != weight.dim(0) ||
-      prepared->rows() * prepared->cols() != weight.numel()) {
-    throw std::invalid_argument(std::string(who) +
-                                ": prepared weight was not built from this "
-                                "layer's borrowed weight");
-  }
-}
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// SynapticConv
+// Synapse
 // ---------------------------------------------------------------------------
 
-SynapticConv::SynapticConv(Tensor weight, Conv2dSpec spec) : spec_(spec) {
-  const Shape expected = {spec.out_channels, spec.in_channels, spec.kernel, spec.kernel};
-  if (weight.shape() != expected) {
-    throw std::invalid_argument("SynapticConv: weight shape " +
-                                shape_to_string(weight.shape()) + " != " +
-                                shape_to_string(expected));
+Synapse::Synapse(Tensor weight, Conv2dSpec spec)
+    : Synapse(Kind::kConv, std::move(weight), spec) {}
+
+Synapse::Synapse(Tensor weight) : Synapse(Kind::kLinear, std::move(weight), {}) {}
+
+Synapse::Synapse(Kind kind, Tensor weight, Conv2dSpec spec) : kind_(kind), spec_(spec) {
+  if (kind == Kind::kConv) {
+    const Shape expected = {spec.out_channels, spec.in_channels, spec.kernel,
+                            spec.kernel};
+    if (weight.shape() != expected) {
+      throw std::invalid_argument("Synapse: conv weight shape " +
+                                  shape_to_string(weight.shape()) + " != " +
+                                  shape_to_string(expected));
+    }
+  } else if (weight.rank() != 2) {
+    throw std::invalid_argument("Synapse: linear weight must be [out, in]");
   }
-  weight_.name = "synaptic_conv.weight";
+  weight_.name = kind == Kind::kConv ? "synaptic_conv.weight" : "synaptic_linear.weight";
   weight_.value = std::move(weight);
   // Borrowed (artifact-shared) weights are inference-only until someone
   // trains them; defer the full-size grad allocation so replica spin-up
@@ -61,36 +57,48 @@ SynapticConv::SynapticConv(Tensor weight, Conv2dSpec spec) : spec_(spec) {
   if (!weight_.value.borrowed()) weight_.grad = Tensor(weight_.value.shape());
 }
 
-void SynapticConv::begin_sequence(std::int64_t time_steps, bool train) {
+void Synapse::begin_sequence(std::int64_t time_steps, bool train) {
   cached_inputs_.clear();
   if (train) cached_inputs_.resize(static_cast<std::size_t>(time_steps));
   drop_owned_operand();  // an owned weight may have changed since last sequence
 }
 
-void SynapticConv::set_precision(Precision precision) {
-  precision_ = precision;
-}
-
-void SynapticConv::set_prepared_weight(std::shared_ptr<const PreparedWeight> prepared) {
-  check_prepared(prepared.get(), weight_.value, "SynapticConv");
+void Synapse::set_prepared_weight(std::shared_ptr<const PreparedWeight> prepared) {
+  const Tensor& w = weight_.value;
+  if (prepared == nullptr || !w.borrowed() || prepared->source() != w.data() ||
+      prepared->rows() != w.dim(0) || prepared->rows() * prepared->cols() != w.numel()) {
+    throw std::invalid_argument(
+        "Synapse: prepared weight was not built from this layer's borrowed weight");
+  }
   prepared_ = std::move(prepared);
 }
 
-Tensor SynapticConv::forward(const Tensor& input, std::int64_t t, bool train) {
+Tensor Synapse::forward(const Tensor& input, std::int64_t t, bool train) {
+  if (kind_ == Kind::kLinear &&
+      (input.rank() != 2 || input.dim(1) != weight_.value.dim(1))) {
+    throw std::invalid_argument("Synapse: bad linear input shape " +
+                                shape_to_string(input.shape()));
+  }
   Tensor out(output_shape(input.shape()));
   // Density dispatch (sparse spike kernel vs blocked GEMM); the dispatch scan
   // also produces the exact nonzero tally for the activity accounting.
   const bool int8 = !train && precision_ == Precision::kInt8;
-  conv2d_forward_spiking(input, prepare(prepared_, weight_.value, int8), out, spec_,
-                         kDefaultSpikeDensityThreshold,
-                         int8 ? Precision::kInt8 : Precision::kFp32, stats_);
+  const PreparedWeight& prepared = prepare(prepared_, weight_.value, int8);
+  const Precision precision = int8 ? Precision::kInt8 : Precision::kFp32;
+  if (kind_ == Kind::kConv) {
+    conv2d_forward_spiking(input, prepared, out, spec_, kDefaultSpikeDensityThreshold,
+                           precision, stats_);
+  } else {
+    linear_forward_spiking(input, weight_.value, prepared, out,
+                           kDefaultSpikeDensityThreshold, precision, stats_);
+  }
   if (train) cached_inputs_[static_cast<std::size_t>(t)] = input;
   return out;
 }
 
-Tensor SynapticConv::backward(const Tensor& grad_current, std::int64_t t) {
+Tensor Synapse::backward(const Tensor& grad_current, std::int64_t t) {
   const Tensor& input = cached_inputs_.at(static_cast<std::size_t>(t));
-  if (input.empty()) throw std::logic_error("SynapticConv::backward without forward");
+  if (input.empty()) throw std::logic_error("Synapse::backward without forward");
   if (weight_.grad.empty()) {
     // First backward on artifact-borrowed weights: own them now so the
     // optimizer's per-element update never writes through the mapping.
@@ -98,149 +106,66 @@ Tensor SynapticConv::backward(const Tensor& grad_current, std::int64_t t) {
     weight_.grad = Tensor(weight_.value.shape());
   }
   Tensor grad_input(input.shape());
-  conv2d_backward(input, weight_.value, grad_current, &grad_input, weight_.grad,
-                  nullptr, spec_);
+  if (kind_ == Kind::kConv) {
+    conv2d_backward(input, weight_.value, grad_current, &grad_input, weight_.grad,
+                    nullptr, spec_);
+  } else {
+    const std::int64_t n = input.dim(0);
+    const std::int64_t in = weight_.value.dim(1);
+    const std::int64_t out = weight_.value.dim(0);
+    matmul_at(grad_current.data(), input.data(), weight_.grad.data(), out, n, in,
+              /*accumulate=*/true);
+    matmul(grad_current.data(), weight_.value.data(), grad_input.data(), n, out, in);
+  }
   return grad_input;
 }
 
-Shape SynapticConv::output_shape(const Shape& input) const {
+Shape Synapse::output_shape(const Shape& input) const {
+  if (kind_ == Kind::kLinear) return {input[0], weight_.value.dim(0)};
   return {input[0], spec_.out_channels, spec_.out_extent(input[2]),
           spec_.out_extent(input[3])};
 }
 
-std::int64_t SynapticConv::macs(const Shape& input) const {
-  const std::int64_t oh = spec_.out_extent(input[2]);
-  const std::int64_t ow = spec_.out_extent(input[3]);
-  return spec_.out_channels * oh * ow * spec_.in_channels * spec_.kernel * spec_.kernel;
+std::int64_t Synapse::macs(const Shape& input) const {
+  // One MAC per weight per output position; a linear op has one position.
+  if (kind_ == Kind::kLinear) return weight_.value.numel();
+  return spec_.out_extent(input[2]) * spec_.out_extent(input[3]) * weight_.value.numel();
+}
+
+double Synapse::acs(const Shape& input, std::int64_t time_steps) const {
+  const double rate =
+      stats_.elements > 0
+          ? static_cast<double>(stats_.nonzeros) / static_cast<double>(stats_.elements)
+          : 0.0;
+  return static_cast<double>(macs(input)) * rate * static_cast<double>(time_steps);
 }
 
 // ---------------------------------------------------------------------------
-// SynapticLinear
+// SynapticLayer
 // ---------------------------------------------------------------------------
 
-SynapticLinear::SynapticLinear(Tensor weight) {
-  if (weight.rank() != 2) {
-    throw std::invalid_argument("SynapticLinear: weight must be [out, in]");
+SynapticLayer::SynapticLayer(Synapse synapse, const std::optional<IfConfig>& neuron)
+    : synapse_(std::move(synapse)) {
+  if (neuron) {
+    neuron_ = std::make_unique<IfNeuron>(*neuron);
+  } else if (synapse_.kind() == Synapse::Kind::kConv) {
+    throw std::invalid_argument("SynapticLayer: a conv synapse must feed a neuron");
   }
-  weight_.name = "synaptic_linear.weight";
-  weight_.value = std::move(weight);
-  if (!weight_.value.borrowed()) weight_.grad = Tensor(weight_.value.shape());
 }
 
-void SynapticLinear::begin_sequence(std::int64_t time_steps, bool train) {
-  cached_inputs_.clear();
-  if (train) cached_inputs_.resize(static_cast<std::size_t>(time_steps));
-  drop_owned_operand();  // see SynapticConv
-}
-
-void SynapticLinear::set_precision(Precision precision) {
-  precision_ = precision;
-}
-
-void SynapticLinear::set_prepared_weight(std::shared_ptr<const PreparedWeight> prepared) {
-  check_prepared(prepared.get(), weight_.value, "SynapticLinear");
-  prepared_ = std::move(prepared);
-}
-
-Tensor SynapticLinear::forward(const Tensor& input, std::int64_t t, bool train) {
-  if (input.rank() != 2 || input.dim(1) != in_features()) {
-    throw std::invalid_argument("SynapticLinear: bad input shape " +
-                                shape_to_string(input.shape()));
-  }
-  const std::int64_t n = input.dim(0);
-  Tensor out({n, out_features()});
-  const bool int8 = !train && precision_ == Precision::kInt8;
-  linear_forward_spiking(input, weight_.value, prepare(prepared_, weight_.value, int8),
-                         out, kDefaultSpikeDensityThreshold,
-                         int8 ? Precision::kInt8 : Precision::kFp32, stats_);
-  if (train) cached_inputs_[static_cast<std::size_t>(t)] = input;
-  return out;
-}
-
-Tensor SynapticLinear::backward(const Tensor& grad_current, std::int64_t t) {
-  const Tensor& input = cached_inputs_.at(static_cast<std::size_t>(t));
-  if (input.empty()) throw std::logic_error("SynapticLinear::backward without forward");
-  if (weight_.grad.empty()) {
-    weight_.value.detach();
-    weight_.grad = Tensor(weight_.value.shape());
-  }
-  const std::int64_t n = input.dim(0);
-  matmul_at(grad_current.data(), input.data(), weight_.grad.data(), out_features(),
-            n, in_features(), /*accumulate=*/true);
-  Tensor grad_input({n, in_features()});
-  matmul(grad_current.data(), weight_.value.data(), grad_input.data(), n,
-         out_features(), in_features());
-  return grad_input;
-}
-
-// ---------------------------------------------------------------------------
-// SpikingConv2d
-// ---------------------------------------------------------------------------
-
-SpikingConv2d::SpikingConv2d(Tensor weight, Conv2dSpec spec,
-                             const IfConfig& neuron_config)
-    : synapse_(std::move(weight), spec), neuron_(neuron_config) {}
-
-void SpikingConv2d::begin_sequence(const Shape& input_shape, std::int64_t time_steps,
-                                   bool train) {
-  synapse_.begin_sequence(time_steps, train);
-  neuron_.begin_sequence(synapse_.output_shape(input_shape), time_steps, train);
-  hold_current_ = false;
-  held_current_ = Tensor();
-}
-
-Tensor SpikingConv2d::step_forward(const Tensor& input, std::int64_t t, bool train) {
-  // Training caches every step's input for BPTT, so it never holds.
-  if (!hold_current_ || train) {
-    return neuron_.step_forward(synapse_.forward(input, t, train), t, train);
-  }
-  if (t == 0) held_current_ = synapse_.forward(input, t, train);
-  return neuron_.step_forward(held_current_, t, train);
-}
-
-Tensor SpikingConv2d::step_backward(const Tensor& grad_output, std::int64_t t) {
-  return synapse_.backward(neuron_.step_backward(grad_output, t), t);
-}
-
-std::vector<Param*> SpikingConv2d::params() {
-  std::vector<Param*> ps = {&synapse_.weight()};
-  for (Param* p : neuron_.params()) ps.push_back(p);
-  return ps;
-}
-
-Shape SpikingConv2d::output_shape(const Shape& input) const {
-  return synapse_.output_shape(input);
-}
-
-double SpikingConv2d::acs_estimate(const Shape& input, std::int64_t time_steps) const {
-  return static_cast<double>(synapse_.macs(input)) *
-         nonzero_rate(synapse_.input_nonzeros(), synapse_.input_elements()) *
-         static_cast<double>(time_steps);
-}
-
-// ---------------------------------------------------------------------------
-// SpikingLinear
-// ---------------------------------------------------------------------------
-
-SpikingLinear::SpikingLinear(Tensor weight, const IfConfig& neuron_config,
-                             bool with_neuron)
-    : synapse_(std::move(weight)) {
-  if (with_neuron) neuron_ = std::make_unique<IfNeuron>(neuron_config);
-}
-
-void SpikingLinear::begin_sequence(const Shape& input_shape, std::int64_t time_steps,
+void SynapticLayer::begin_sequence(const Shape& input_shape, std::int64_t time_steps,
                                    bool train) {
   synapse_.begin_sequence(time_steps, train);
   if (neuron_) {
-    neuron_->begin_sequence({input_shape[0], synapse_.out_features()}, time_steps,
-                            train);
+    neuron_->begin_sequence(synapse_.output_shape(input_shape), time_steps, train);
   }
   hold_current_ = false;
   held_current_ = Tensor();
 }
 
-Tensor SpikingLinear::step_forward(const Tensor& input, std::int64_t t, bool train) {
-  if (hold_current_ && !train) {  // see SpikingConv2d
+Tensor SynapticLayer::step_forward(const Tensor& input, std::int64_t t, bool train) {
+  // Training caches every step's input for BPTT, so it never holds.
+  if (hold_current_ && !train) {
     if (t == 0) held_current_ = synapse_.forward(input, t, train);
     if (neuron_) return neuron_->step_forward(held_current_, t, train);
     return held_current_;
@@ -250,16 +175,12 @@ Tensor SpikingLinear::step_forward(const Tensor& input, std::int64_t t, bool tra
   return current;
 }
 
-void SpikingLinear::begin_backward() {
-  if (neuron_) neuron_->begin_backward();
-}
-
-Tensor SpikingLinear::step_backward(const Tensor& grad_output, std::int64_t t) {
+Tensor SynapticLayer::step_backward(const Tensor& grad_output, std::int64_t t) {
   if (neuron_) return synapse_.backward(neuron_->step_backward(grad_output, t), t);
   return synapse_.backward(grad_output, t);
 }
 
-std::vector<Param*> SpikingLinear::params() {
+std::vector<Param*> SynapticLayer::params() {
   std::vector<Param*> ps = {&synapse_.weight()};
   if (neuron_) {
     for (Param* p : neuron_->params()) ps.push_back(p);
@@ -267,20 +188,15 @@ std::vector<Param*> SpikingLinear::params() {
   return ps;
 }
 
-Shape SpikingLinear::output_shape(const Shape& input) const {
-  return {input[0], synapse_.out_features()};
-}
-
-void SpikingLinear::reset_stats() {
+void SynapticLayer::reset_stats() {
   synapse_.reset_stats();
   if (neuron_) neuron_->reset_stats();
 }
 
-double SpikingLinear::acs_estimate(const Shape& input, std::int64_t time_steps) const {
-  (void)input;
-  return static_cast<double>(synapse_.macs()) *
-         nonzero_rate(synapse_.input_nonzeros(), synapse_.input_elements()) *
-         static_cast<double>(time_steps);
+void SynapticLayer::reset_runtime_state() {
+  if (neuron_) neuron_->clear_state();
+  synapse_.clear_runtime_state();
+  held_current_ = Tensor();
 }
 
 // ---------------------------------------------------------------------------
@@ -430,8 +346,8 @@ SpikingResidualBlock::SpikingResidualBlock(Tensor conv1_weight, Conv2dSpec conv1
       conv2_(std::move(conv2_weight), conv2_spec),
       neuron2_(neuron2) {
   if (!projection_weight.empty()) {
-    projection_ = std::make_unique<SynapticConv>(std::move(projection_weight),
-                                                 projection_spec);
+    projection_ = std::make_unique<Synapse>(std::move(projection_weight),
+                                            projection_spec);
   }
 }
 
@@ -496,16 +412,9 @@ std::int64_t SpikingResidualBlock::macs(const Shape& input) const {
 
 double SpikingResidualBlock::acs_estimate(const Shape& input,
                                           std::int64_t time_steps) const {
-  const Shape mid = conv1_.output_shape(input);
-  const auto t = static_cast<double>(time_steps);
-  double acs = static_cast<double>(conv1_.macs(input)) *
-               nonzero_rate(conv1_.input_nonzeros(), conv1_.input_elements()) * t;
-  acs += static_cast<double>(conv2_.macs(mid)) *
-         nonzero_rate(conv2_.input_nonzeros(), conv2_.input_elements()) * t;
-  if (projection_) {
-    acs += static_cast<double>(projection_->macs(input)) *
-           nonzero_rate(projection_->input_nonzeros(), projection_->input_elements()) * t;
-  }
+  double acs = conv1_.acs(input, time_steps);
+  acs += conv2_.acs(conv1_.output_shape(input), time_steps);
+  if (projection_) acs += projection_->acs(input, time_steps);
   return acs;
 }
 

@@ -6,29 +6,34 @@
 //   begin_backward()                         once, training only
 //   step_backward(g, t)                      t = T-1 .. 0   (BPTT)
 //
-// Synaptic weight ops (conv / linear) are split from the IF dynamics so that
-// residual blocks can sum currents into a shared post-neuron, exactly like
-// the DNN residual join converts (DESIGN.md).
+// Every weighted layer is one Synapse (a convolution or a fully connected
+// op: weights only, no membrane dynamics) feeding an IF neuron with
+// threshold alpha*mu and amplitude beta*V_th (Sec. III). SynapticLayer is
+// that pair; the classifier readout is the same layer without the neuron.
+// Synapses stand apart from the IF dynamics so that residual blocks can sum
+// currents into a shared post-neuron, exactly like the DNN residual join
+// converts (DESIGN.md).
 //
-// Synaptic weight ops route through the sparsity-aware kernels in
-// tensor/ops.h: each time step's input density decides between the dense
-// blocked GEMM and the row-compressed spike kernel, and the exact nonzero
-// tally that dispatch scan produces feeds the Sec. VI spiking-activity /
-// FLOPs / energy accounting — there is no separate counting pass. IF neurons
-// count emitted spikes.
+// Synapses route through the sparsity-aware kernels in tensor/ops.h: each
+// time step's input density decides between the dense blocked GEMM and the
+// row-compressed spike kernel, and the exact nonzero tally that dispatch
+// scan produces feeds the Sec. VI spiking-activity / FLOPs / energy
+// accounting — there is no separate counting pass. IF neurons count emitted
+// spikes.
 //
 // Held input current: hold_input(true), called after begin_sequence,
 // promises that step_forward will see the same input at every step of the
-// sequence (direct encoding, Sec. I). In eval, SpikingConv2d and
-// SpikingLinear then run their synapse once, at t = 0, and integrate that
-// held current at every step: the same T membrane updates on bitwise the
-// same current, and the one synaptic pass the Sec. VI energy model already
-// counts. Training runs the synapse every step (BPTT caches each step's
-// input); other layers ignore the promise.
+// sequence (direct encoding, Sec. I). In eval, a SynapticLayer then runs its
+// synapse once, at t = 0, and integrates that held current at every step:
+// the same T membrane updates on bitwise the same current, and the one
+// synaptic pass the Sec. VI energy model already counts. Training runs the
+// synapse every step (BPTT caches each step's input); other layers ignore
+// the promise.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,13 +47,23 @@ namespace ullsnn::snn {
 using dnn::Param;
 
 // ---------------------------------------------------------------------------
-// Synaptic ops: weights only, no membrane dynamics.
+// Synapse: weights only, no membrane dynamics.
 // ---------------------------------------------------------------------------
 
-class SynapticConv {
+/// One synaptic op, a convolution or a fully connected layer. The two kinds
+/// share the weight, the BPTT input cache, the prepared operand, precision
+/// and the activity counters; they differ only in the kernel, the backward
+/// pass, the output shape and the MAC count.
+class Synapse {
  public:
-  SynapticConv(Tensor weight, Conv2dSpec spec);
+  enum class Kind { kConv, kLinear };
 
+  /// Convolution; weight [out_channels, in_channels, kernel, kernel].
+  Synapse(Tensor weight, Conv2dSpec spec);
+  /// Fully connected; weight [out, in].
+  explicit Synapse(Tensor weight);
+
+  Kind kind() const { return kind_; }
   void begin_sequence(std::int64_t time_steps, bool train);
   Tensor forward(const Tensor& input, std::int64_t t, bool train);
   /// Gradient w.r.t. the step-t input; accumulates the weight gradient.
@@ -56,9 +71,15 @@ class SynapticConv {
 
   Param& weight() { return weight_; }
   const Param& weight() const { return weight_; }
+  /// Convolution geometry; meaningful for kConv only.
   const Conv2dSpec& spec() const { return spec_; }
   Shape output_shape(const Shape& input) const;
+  /// Dense per-step per-sample MAC count at this input shape.
   std::int64_t macs(const Shape& input) const;
+  /// Measured accumulate-operation count per sample over `time_steps` steps:
+  /// macs() scaled by the observed input nonzero rate (each input spike
+  /// triggers exactly its fan-out's worth of ACs).
+  double acs(const Shape& input, std::int64_t time_steps) const;
 
   std::int64_t input_nonzeros() const { return stats_.nonzeros; }
   std::int64_t input_elements() const { return stats_.elements; }
@@ -74,10 +95,10 @@ class SynapticConv {
 
   /// Inference precision: int8 applies to the eval-mode dense forward only
   /// (training steps and sparse samples stay fp32).
-  void set_precision(Precision precision);
+  void set_precision(Precision precision) { precision_ = precision; }
   Precision precision() const { return precision_; }
 
-  /// Install an operand prepared from this layer's borrowed weight (an
+  /// Install an operand prepared from this synapse's borrowed weight (an
   /// artifact shares one across all its replicas). Throws unless it was
   /// prepared from exactly the memory the weight reads.
   void set_prepared_weight(std::shared_ptr<const PreparedWeight> prepared);
@@ -88,10 +109,12 @@ class SynapticConv {
   }
 
  private:
+  Synapse(Kind kind, Tensor weight, Conv2dSpec spec);
   void drop_owned_operand() {
     if (!weight_.value.borrowed()) prepared_.reset();
   }
 
+  Kind kind_;
   Param weight_;
   Conv2dSpec spec_;
   std::vector<Tensor> cached_inputs_;
@@ -100,50 +123,6 @@ class SynapticConv {
   // built on first use and dropped every begin_sequence, because owned
   // weights may be written in place between sequences.
   std::shared_ptr<const PreparedWeight> prepared_;
-  SpikeKernelStats stats_;
-  Precision precision_ = Precision::kFp32;
-};
-
-class SynapticLinear {
- public:
-  SynapticLinear(Tensor weight);  // weight [out, in]
-
-  void begin_sequence(std::int64_t time_steps, bool train);
-  Tensor forward(const Tensor& input, std::int64_t t, bool train);
-  Tensor backward(const Tensor& grad_current, std::int64_t t);
-
-  Param& weight() { return weight_; }
-  const Param& weight() const { return weight_; }
-  std::int64_t in_features() const { return weight_.value.dim(1); }
-  std::int64_t out_features() const { return weight_.value.dim(0); }
-  std::int64_t macs() const { return in_features() * out_features(); }
-
-  std::int64_t input_nonzeros() const { return stats_.nonzeros; }
-  std::int64_t input_elements() const { return stats_.elements; }
-  const SpikeKernelStats& kernel_stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
-  /// Same operand lifetime rule as SynapticConv.
-  void clear_runtime_state() {
-    cached_inputs_.clear();
-    drop_owned_operand();
-  }
-
-  /// Same int8 and prepared-operand contract as SynapticConv.
-  void set_precision(Precision precision);
-  Precision precision() const { return precision_; }
-  void set_prepared_weight(std::shared_ptr<const PreparedWeight> prepared);
-  const std::shared_ptr<const PreparedWeight>& prepared_weight() const {
-    return prepared_;
-  }
-
- private:
-  void drop_owned_operand() {
-    if (!weight_.value.borrowed()) prepared_.reset();
-  }
-
-  Param weight_;
-  std::vector<Tensor> cached_inputs_;
-  std::shared_ptr<const PreparedWeight> prepared_;  // see SynapticConv
   SpikeKernelStats stats_;
   Precision precision_ = Precision::kFp32;
 };
@@ -205,7 +184,7 @@ class SpikingLayer {
   virtual IfNeuron* neuron_or_null() { return nullptr; }
 
   /// Inference precision for this layer's synapses (no-op on weightless
-  /// layers). See SynapticConv::set_precision for the exact semantics.
+  /// layers). See Synapse::set_precision for the exact semantics.
   virtual void set_precision(Precision precision) { (void)precision; }
 };
 
@@ -215,69 +194,37 @@ using SpikingLayerPtr = std::unique_ptr<SpikingLayer>;
 // Concrete layers.
 // ---------------------------------------------------------------------------
 
-/// Convolution followed by IF dynamics. The first network layer receives the
-/// analog image directly each step (direct encoding) — the math is identical,
-/// only the energy accounting differs (MACs vs ACs; see energy/flops.h).
-class SpikingConv2d final : public SpikingLayer {
+/// One weighted spiking layer: a synapse feeding IF dynamics. Only a linear
+/// synapse may go without a neuron: the classifier readout, whose currents
+/// SnnNetwork accumulates into logits across the T steps. The first network
+/// layer receives the analog image directly each step (direct encoding) —
+/// the math is identical, only the energy accounting differs (MACs vs ACs;
+/// see energy/flops.h).
+class SynapticLayer final : public SpikingLayer {
  public:
-  SpikingConv2d(Tensor weight, Conv2dSpec spec, const IfConfig& neuron_config);
+  /// An empty `neuron` makes the neuron-free readout; throws for a
+  /// convolution.
+  SynapticLayer(Synapse synapse, const std::optional<IfConfig>& neuron);
 
   void begin_sequence(const Shape& input_shape, std::int64_t time_steps,
                       bool train) override;
   void hold_input(bool repeats) override { hold_current_ = repeats; }
   Tensor step_forward(const Tensor& input, std::int64_t t, bool train) override;
-  void begin_backward() override { neuron_.begin_backward(); }
+  void begin_backward() override {
+    if (neuron_) neuron_->begin_backward();
+  }
   Tensor step_backward(const Tensor& grad_output, std::int64_t t) override;
   std::vector<Param*> params() override;
-  Shape output_shape(const Shape& input) const override;
-  std::string name() const override { return "SpikingConv2d"; }
+  Shape output_shape(const Shape& input) const override {
+    return synapse_.output_shape(input);
+  }
+  std::string name() const override {
+    return synapse_.kind() == Synapse::Kind::kConv ? "SpikingConv2d" : "SpikingLinear";
+  }
   std::int64_t macs(const Shape& input) const override { return synapse_.macs(input); }
-  double acs_estimate(const Shape& input, std::int64_t time_steps) const override;
-  std::int64_t spikes_emitted() const override { return neuron_.spikes_emitted(); }
-  std::int64_t neurons() const override { return neuron_.neurons(); }
-  std::int64_t input_nonzeros() const override { return synapse_.input_nonzeros(); }
-  std::int64_t input_elements() const override { return synapse_.input_elements(); }
-  void reset_stats() override { neuron_.reset_stats(); synapse_.reset_stats(); }
-  void reset_runtime_state() override {
-    neuron_.clear_state();
-    synapse_.clear_runtime_state();
-    held_current_ = Tensor();
+  double acs_estimate(const Shape& input, std::int64_t time_steps) const override {
+    return synapse_.acs(input, time_steps);
   }
-  IfNeuron* neuron_or_null() override { return &neuron_; }
-  void set_precision(Precision precision) override {
-    synapse_.set_precision(precision);
-  }
-
-  SynapticConv& synapse() { return synapse_; }
-
- private:
-  SynapticConv synapse_;
-  IfNeuron neuron_;
-  bool hold_current_ = false;  // this sequence's input repeats
-  Tensor held_current_;        // synaptic current of t = 0 when holding
-};
-
-/// Fully connected synapse, optionally followed by IF dynamics. The output
-/// (classifier) layer uses with_neuron = false: its currents are accumulated
-/// into logits across the T steps by SnnNetwork.
-class SpikingLinear final : public SpikingLayer {
- public:
-  SpikingLinear(Tensor weight, const IfConfig& neuron_config, bool with_neuron);
-
-  void begin_sequence(const Shape& input_shape, std::int64_t time_steps,
-                      bool train) override;
-  void hold_input(bool repeats) override { hold_current_ = repeats; }
-  Tensor step_forward(const Tensor& input, std::int64_t t, bool train) override;
-  void begin_backward() override;
-  Tensor step_backward(const Tensor& grad_output, std::int64_t t) override;
-  std::vector<Param*> params() override;
-  Shape output_shape(const Shape& input) const override;
-  std::string name() const override { return "SpikingLinear"; }
-  std::int64_t macs(const Shape& input) const override {
-    (void)input;
-    return synapse_.macs();
-  }
-  double acs_estimate(const Shape& input, std::int64_t time_steps) const override;
   std::int64_t spikes_emitted() const override {
     return neuron_ ? neuron_->spikes_emitted() : 0;
   }
@@ -285,24 +232,20 @@ class SpikingLinear final : public SpikingLayer {
   std::int64_t input_nonzeros() const override { return synapse_.input_nonzeros(); }
   std::int64_t input_elements() const override { return synapse_.input_elements(); }
   void reset_stats() override;
-  void reset_runtime_state() override {
-    if (neuron_) neuron_->clear_state();
-    synapse_.clear_runtime_state();
-    held_current_ = Tensor();
-  }
+  void reset_runtime_state() override;
   IfNeuron* neuron_or_null() override { return neuron_.get(); }
   void set_precision(Precision precision) override {
     synapse_.set_precision(precision);
   }
 
-  SynapticLinear& synapse() { return synapse_; }
+  Synapse& synapse() { return synapse_; }
   bool has_neuron() const { return neuron_ != nullptr; }
 
  private:
-  SynapticLinear synapse_;
-  std::unique_ptr<IfNeuron> neuron_;
-  bool hold_current_ = false;  // see SpikingConv2d
-  Tensor held_current_;
+  Synapse synapse_;
+  std::unique_ptr<IfNeuron> neuron_;  // null => readout
+  bool hold_current_ = false;         // this sequence's input repeats
+  Tensor held_current_;               // synaptic current of t = 0 when holding
 };
 
 /// Max pooling over spike maps. On {0, amplitude} inputs the output stays in
@@ -428,15 +371,15 @@ class SpikingResidualBlock final : public SpikingLayer {
 
   IfNeuron& neuron1() { return neuron1_; }
   IfNeuron& neuron2() { return neuron2_; }
-  SynapticConv& conv1_synapse() { return conv1_; }
-  SynapticConv& conv2_synapse() { return conv2_; }
-  SynapticConv* projection_synapse_or_null() { return projection_.get(); }
+  Synapse& conv1_synapse() { return conv1_; }
+  Synapse& conv2_synapse() { return conv2_; }
+  Synapse* projection_synapse_or_null() { return projection_.get(); }
 
  private:
-  SynapticConv conv1_;
+  Synapse conv1_;
   IfNeuron neuron1_;
-  SynapticConv conv2_;
-  std::unique_ptr<SynapticConv> projection_;  // null => identity
+  Synapse conv2_;
+  std::unique_ptr<Synapse> projection_;  // null => identity
   IfNeuron neuron2_;
 };
 

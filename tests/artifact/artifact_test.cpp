@@ -59,15 +59,15 @@ std::unique_ptr<snn::SnnNetwork> make_vggish_net(std::uint64_t seed,
   auto net = std::make_unique<snn::SnnNetwork>(time_steps);
   Conv2dSpec conv{/*in_channels=*/2, /*out_channels=*/4, /*kernel=*/3,
                   /*stride=*/1, /*pad=*/1};
-  net->emplace<snn::SpikingConv2d>(random_tensor({4, 2, 3, 3}, rng), conv,
+  net->emplace<snn::SynapticLayer>(snn::Synapse(random_tensor({4, 2, 3, 3}, rng), conv),
                                    if_config());
   net->emplace<snn::SpikingMaxPool>(Pool2dSpec{2, 2});
   net->emplace<snn::SpikingFlatten>();
   net->emplace<snn::SpikingDropout>(0.1F, net->dropout_rng());
-  net->emplace<snn::SpikingLinear>(random_tensor({8, 16}, rng), if_config(),
-                                   /*with_neuron=*/true);
-  net->emplace<snn::SpikingLinear>(random_tensor({3, 8}, rng), snn::IfConfig{},
-                                   /*with_neuron=*/false);
+  net->emplace<snn::SynapticLayer>(
+      snn::Synapse(random_tensor({8, 16}, rng)), if_config());
+  net->emplace<snn::SynapticLayer>(
+      snn::Synapse(random_tensor({3, 8}, rng)), std::nullopt);
   return net;
 }
 
@@ -85,8 +85,8 @@ std::unique_ptr<snn::SnnNetwork> make_resnetish_net(std::uint64_t seed) {
       random_tensor({4, 2, 1, 1}, rng), proj);
   net->emplace<snn::SpikingAvgPool>(Pool2dSpec{2, 2});
   net->emplace<snn::SpikingFlatten>();
-  net->emplace<snn::SpikingLinear>(random_tensor({3, 4}, rng), snn::IfConfig{},
-                                   /*with_neuron=*/false);
+  net->emplace<snn::SynapticLayer>(
+      snn::Synapse(random_tensor({3, 4}, rng)), std::nullopt);
   return net;
 }
 
@@ -242,10 +242,11 @@ TEST(ArtifactTest, ReplicasAreZeroCopyOverTheMapping) {
   auto a = art->make_network();
   auto b = art->make_network();
 
-  auto* conv_a = dynamic_cast<snn::SpikingConv2d*>(&a->layer(0));
-  auto* conv_b = dynamic_cast<snn::SpikingConv2d*>(&b->layer(0));
+  auto* conv_a = dynamic_cast<snn::SynapticLayer*>(&a->layer(0));
+  auto* conv_b = dynamic_cast<snn::SynapticLayer*>(&b->layer(0));
   ASSERT_NE(conv_a, nullptr);
   ASSERT_NE(conv_b, nullptr);
+  ASSERT_EQ(conv_a->synapse().kind(), snn::Synapse::Kind::kConv);
   const Tensor& wa = conv_a->synapse().weight().value;
   const Tensor& wb = conv_b->synapse().weight().value;
   EXPECT_TRUE(wa.borrowed());
@@ -266,33 +267,23 @@ TEST(ArtifactTest, ReplicasAreZeroCopyOverTheMapping) {
 /// Every synapse of `net`: a weight plus the prepared operand it serves from.
 struct SynapseView {
   const Tensor* weight;
-  const snn::SynapticConv* conv;      // exactly one of conv / linear is set
-  const snn::SynapticLinear* linear;
-  const PreparedWeight* prepared() const {
-    return conv != nullptr ? conv->prepared_weight().get()
-                           : linear->prepared_weight().get();
-  }
-  const SpikeKernelStats& stats() const {
-    return conv != nullptr ? conv->kernel_stats() : linear->kernel_stats();
-  }
+  const snn::Synapse* synapse;
+  const PreparedWeight* prepared() const { return synapse->prepared_weight().get(); }
+  const SpikeKernelStats& stats() const { return synapse->kernel_stats(); }
 };
 
 std::vector<SynapseView> synapses_of(snn::SnnNetwork& net) {
   std::vector<SynapseView> out;
-  const auto add_conv = [&](const snn::SynapticConv* s) {
-    out.push_back({&s->weight().value, s, nullptr});
-  };
+  const auto add = [&](const snn::Synapse* s) { out.push_back({&s->weight().value, s}); };
   for (std::int64_t i = 0; i < net.size(); ++i) {
     snn::SpikingLayer& layer = net.layer(i);
-    if (auto* conv = dynamic_cast<snn::SpikingConv2d*>(&layer)) {
-      add_conv(&conv->synapse());
-    } else if (auto* linear = dynamic_cast<snn::SpikingLinear*>(&layer)) {
-      out.push_back({&linear->synapse().weight().value, nullptr, &linear->synapse()});
+    if (auto* weighted = dynamic_cast<snn::SynapticLayer*>(&layer)) {
+      add(&weighted->synapse());
     } else if (auto* res = dynamic_cast<snn::SpikingResidualBlock*>(&layer)) {
-      add_conv(&res->conv1_synapse());
-      add_conv(&res->conv2_synapse());
+      add(&res->conv1_synapse());
+      add(&res->conv2_synapse());
       if (res->projection_synapse_or_null() != nullptr) {
-        add_conv(res->projection_synapse_or_null());
+        add(res->projection_synapse_or_null());
       }
     }
   }

@@ -49,9 +49,9 @@ std::unique_ptr<snn::SnnNetwork> make_net(std::uint64_t seed,
   }
   snn::IfConfig cfg;
   cfg.v_threshold = 1.0F;
-  net->emplace<snn::SpikingLinear>(w1, cfg, /*with_neuron=*/true);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(w1), cfg);
   Tensor w2 = random_tensor({2, hidden}, rng);
-  net->emplace<snn::SpikingLinear>(w2, snn::IfConfig{}, /*with_neuron=*/false);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(w2), std::nullopt);
   return net;
 }
 

@@ -128,8 +128,9 @@ TEST(ConvertTest, WeightsAreCopies) {
   const auto data = small_data();
   ConversionConfig config;
   auto net = convert(*model, data, config, nullptr);
-  auto* sconv = dynamic_cast<snn::SpikingConv2d*>(&net->layer(0));
+  auto* sconv = dynamic_cast<snn::SynapticLayer*>(&net->layer(0));
   ASSERT_NE(sconv, nullptr);
+  ASSERT_EQ(sconv->synapse().kind(), snn::Synapse::Kind::kConv);
   auto* dconv = dynamic_cast<dnn::Conv2d*>(&model->layer(0));
   ASSERT_NE(dconv, nullptr);
   EXPECT_TRUE(sconv->synapse().weight().value.allclose(dconv->weight().value));

@@ -34,9 +34,9 @@ TEST(SnnFlopsTest, FirstLayerMacsRestAcs) {
   snn::IfConfig hot;
   hot.v_threshold = 0.5F;  // input current 1.0 => spikes every step
   auto net = std::make_unique<snn::SnnNetwork>(4);
-  net->emplace<snn::SpikingLinear>(Tensor({8, 8}, 0.5F), hot, true);
-  net->emplace<snn::SpikingLinear>(Tensor({4, 8}, 0.5F), hot, true);
-  net->emplace<snn::SpikingLinear>(Tensor({2, 4}, 0.5F), snn::IfConfig{}, false);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(Tensor({8, 8}, 0.5F)), hot);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(Tensor({4, 8}, 0.5F)), hot);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(Tensor({2, 4}, 0.5F)), std::nullopt);
   Tensor images({1, 8}, 2.0F);
   net->reset_stats();
   net->forward(images, false);
@@ -57,8 +57,8 @@ TEST(SnnFlopsTest, SparseInputsScaleAcs) {
   snn::IfConfig cold;
   cold.v_threshold = 100.0F;  // first layer never spikes
   auto net = std::make_unique<snn::SnnNetwork>(2);
-  net->emplace<snn::SpikingLinear>(Tensor({8, 8}, 0.1F), cold, true);
-  net->emplace<snn::SpikingLinear>(Tensor({2, 8}, 0.1F), snn::IfConfig{}, false);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(Tensor({8, 8}, 0.1F)), cold);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(Tensor({2, 8}, 0.1F)), std::nullopt);
   net->reset_stats();
   net->forward(Tensor({1, 8}, 1.0F), false);
   const FlopsReport r = count_snn_flops(*net, {1, 8});
@@ -94,8 +94,8 @@ TEST(SpikeMonitorTest, MeasuresControlledRates) {
   snn::IfConfig hot;
   hot.v_threshold = 0.5F;
   auto net = std::make_unique<snn::SnnNetwork>(4);
-  net->emplace<snn::SpikingLinear>(Tensor({4, 4}, 1.0F), hot, true);
-  net->emplace<snn::SpikingLinear>(Tensor({2, 4}, 1.0F), snn::IfConfig{}, false);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(Tensor({4, 4}, 1.0F)), hot);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(Tensor({2, 4}, 1.0F)), std::nullopt);
 
   data::LabeledImages dataset;
   dataset.images = Tensor({6, 4}, 2.0F);  // always drives spikes
@@ -114,10 +114,10 @@ TEST(SpikeMonitorTest, MeasuresControlledRates) {
 /// membranes 0.6 -> 1.2 (one spike) and 0.3 -> 0.6 (none).
 std::unique_ptr<snn::SnnNetwork> hand_net() {
   auto net = std::make_unique<snn::SnnNetwork>(2);
-  net->emplace<snn::SpikingLinear>(Tensor({2, 2}, std::vector<float>{1, 0, 0, 1}),
-                                   snn::IfConfig{}, true);
-  net->emplace<snn::SpikingLinear>(Tensor({1, 2}, std::vector<float>{1, 1}),
-                                   snn::IfConfig{}, false);
+  net->emplace<snn::SynapticLayer>(
+      snn::Synapse(Tensor({2, 2}, std::vector<float>{1, 0, 0, 1})), snn::IfConfig{});
+  net->emplace<snn::SynapticLayer>(snn::Synapse(Tensor({1, 2}, std::vector<float>{1, 1})),
+                                   std::nullopt);
   return net;
 }
 
@@ -165,13 +165,13 @@ TEST(SpikeMonitorTest, AgreesWithRuntimeProbeExactly) {
   auto net = std::make_unique<snn::SnnNetwork>(3);
   Tensor w1({16, 8});
   kaiming_normal(w1, 8, rng);
-  net->emplace<snn::SpikingLinear>(std::move(w1), snn::IfConfig{}, true);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(w1)), snn::IfConfig{});
   Tensor w2({4, 16});
   kaiming_normal(w2, 16, rng);
-  net->emplace<snn::SpikingLinear>(std::move(w2), snn::IfConfig{}, true);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(w2)), snn::IfConfig{});
   Tensor wr({2, 4});
   kaiming_normal(wr, 4, rng);
-  net->emplace<snn::SpikingLinear>(std::move(wr), snn::IfConfig{}, false);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(wr)), std::nullopt);
 
   data::LabeledImages dataset;
   dataset.images = Tensor({10, 8});
@@ -202,8 +202,9 @@ TEST(SpikeMonitorTest, AgreesWithRuntimeProbeExactly) {
 TEST(MemoryModelTest, SnnTrainingScalesWithT) {
   auto make_net = [](std::int64_t t) {
     auto net = std::make_unique<snn::SnnNetwork>(t);
-    net->emplace<snn::SpikingLinear>(Tensor({64, 64}, 0.1F), snn::IfConfig{}, true);
-    net->emplace<snn::SpikingLinear>(Tensor({10, 64}, 0.1F), snn::IfConfig{}, false);
+    net->emplace<snn::SynapticLayer>(
+        snn::Synapse(Tensor({64, 64}, 0.1F)), snn::IfConfig{});
+    net->emplace<snn::SynapticLayer>(snn::Synapse(Tensor({10, 64}, 0.1F)), std::nullopt);
     return net;
   };
   auto net2 = make_net(2);

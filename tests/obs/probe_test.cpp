@@ -20,14 +20,15 @@ std::unique_ptr<snn::SnnNetwork> make_net(std::int64_t time_steps,
   Rng rng(5);
   Tensor wc({8, 3, 3, 3});
   kaiming_normal(wc, 3 * 9, rng);
-  net->emplace<snn::SpikingConv2d>(std::move(wc), Conv2dSpec{3, 8, 3, 1, 1}, neuron);
+  net->emplace<snn::SynapticLayer>(
+      snn::Synapse(std::move(wc), Conv2dSpec{3, 8, 3, 1, 1}), neuron);
   net->emplace<snn::SpikingFlatten>();
   Tensor wl({4, 8 * 8 * 8});
   kaiming_normal(wl, 8 * 8 * 8, rng);
-  net->emplace<snn::SpikingLinear>(std::move(wl), neuron, /*with_neuron=*/true);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(wl)), neuron);
   Tensor wr({2, 4});
   kaiming_normal(wr, 4, rng);
-  net->emplace<snn::SpikingLinear>(std::move(wr), snn::IfConfig{}, /*with_neuron=*/false);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(wr)), std::nullopt);
   return net;
 }
 
@@ -116,9 +117,9 @@ TEST(SnnRuntimeProbe, DeltaGapExactOnHandComputedNeuron) {
   // avg_in = 0.3, avg_out = 1/4; Delta = 0.3 - 0.25 = 0.05.
   auto net = std::make_unique<snn::SnnNetwork>(4);
   Tensor w({1, 1}, std::vector<float>{1.0F});
-  net->emplace<snn::SpikingLinear>(std::move(w), snn::IfConfig{}, true);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(w)), snn::IfConfig{});
   Tensor wr({1, 1}, std::vector<float>{1.0F});
-  net->emplace<snn::SpikingLinear>(std::move(wr), snn::IfConfig{}, false);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(wr)), std::nullopt);
 
   SnnRuntimeProbe probe(*net);
   probe.set_layer_mu({1.0F, 0.0F});

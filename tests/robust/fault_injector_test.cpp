@@ -160,10 +160,10 @@ std::unique_ptr<snn::SnnNetwork> tiny_snn(std::int64_t time_steps) {
   net->emplace<snn::SpikingFlatten>();
   Tensor w1({16, 3 * 8 * 8});
   normal_fill(w1, 0.0F, 0.1F, rng);
-  net->emplace<snn::SpikingLinear>(w1, neuron, /*with_neuron=*/true);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(w1), neuron);
   Tensor w2({3, 16});
   normal_fill(w2, 0.0F, 0.3F, rng);
-  net->emplace<snn::SpikingLinear>(w2, neuron, /*with_neuron=*/false);
+  net->emplace<snn::SynapticLayer>(snn::Synapse(w2), std::nullopt);
   return net;
 }
 

@@ -43,12 +43,12 @@ std::string pack_version(const char* name, std::uint64_t seed) {
   }
   snn::IfConfig cfg;
   cfg.v_threshold = 1.0F;
-  net.emplace<snn::SpikingLinear>(w1, cfg, /*with_neuron=*/true);
+  net.emplace<snn::SynapticLayer>(snn::Synapse(w1), cfg);
   Tensor w2({2, 4});
   for (std::int64_t i = 0; i < w2.numel(); ++i) {
     w2[i] = rng.uniform() * 0.5F - 0.25F;
   }
-  net.emplace<snn::SpikingLinear>(w2, snn::IfConfig{}, /*with_neuron=*/false);
+  net.emplace<snn::SynapticLayer>(snn::Synapse(w2), std::nullopt);
   PackOptions opt;
   opt.input_shape = {4};
   opt.probe_batch = 2;

@@ -28,13 +28,13 @@ NetworkFactory tiny_factory() {
     auto net = std::make_unique<snn::SnnNetwork>(3);
     Tensor w1({4, 4});
     for (std::int64_t i = 0; i < 4; ++i) w1.at(i, i) = 1.0F;
-    net->emplace<snn::SpikingLinear>(w1, if_config(), /*with_neuron=*/true);
+    net->emplace<snn::SynapticLayer>(snn::Synapse(w1), if_config());
     Tensor w2({2, 4});
     w2.at(0, 0) = 1.0F;
     w2.at(0, 1) = 1.0F;
     w2.at(1, 2) = 1.0F;
     w2.at(1, 3) = 1.0F;
-    net->emplace<snn::SpikingLinear>(w2, snn::IfConfig{}, /*with_neuron=*/false);
+    net->emplace<snn::SynapticLayer>(snn::Synapse(w2), std::nullopt);
     return net;
   };
 }

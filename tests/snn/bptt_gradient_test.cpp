@@ -22,7 +22,7 @@ TEST(BpttGradientTest, ReadoutWeightGradientIsExact) {
   Tensor w({2, 4});
   uniform_fill(w, -0.5F, 0.5F, rng);
   auto net = std::make_unique<SnnNetwork>(t_steps);
-  auto& layer = net->emplace<SpikingLinear>(w, IfConfig{}, /*with_neuron=*/false);
+  auto& layer = net->emplace<SynapticLayer>(Synapse(w), std::nullopt);
 
   Tensor images({1, 4});
   uniform_fill(images, -1.0F, 1.0F, rng);
@@ -63,10 +63,11 @@ TEST(BpttGradientTest, HiddenWeightGradientExactWhenSpikesAreStable) {
   IfConfig neuron;
   neuron.v_threshold = 1.0F;
   auto net = std::make_unique<SnnNetwork>(t_steps);
-  auto& hidden = net->emplace<SpikingConv2d>(wh, Conv2dSpec{2, 2, 1, 1, 0}, neuron);
+  auto& hidden = net->emplace<SynapticLayer>(
+      Synapse(wh, Conv2dSpec{2, 2, 1, 1, 0}), neuron);
   net->emplace<SpikingFlatten>();
   Tensor wr({2, 2}, 0.7F);
-  net->emplace<SpikingLinear>(wr, IfConfig{}, /*with_neuron=*/false);
+  net->emplace<SynapticLayer>(Synapse(wr), std::nullopt);
 
   Tensor images({1, 2, 1, 1});
   images[0] = 0.9F;  // u_temp: 0.72, 1.44 -> spike at t=1 comfortably
@@ -112,7 +113,7 @@ TEST(BpttGradientTest, GradientsAccumulateAcrossSteps) {
 
   auto run = [&](std::int64_t t_steps) {
     auto net = std::make_unique<SnnNetwork>(t_steps);
-    auto& layer = net->emplace<SpikingLinear>(w, IfConfig{}, false);
+    auto& layer = net->emplace<SynapticLayer>(Synapse(w), std::nullopt);
     net->forward(images, true);
     net->backward(g);
     return layer.synapse().weight().grad;

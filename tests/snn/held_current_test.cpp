@@ -49,12 +49,13 @@ Tensor random_tensor(const Shape& shape, float lo, float hi, Rng& rng) {
 std::unique_ptr<SnnNetwork> conv_first_net(const Dynamics& d, std::int64_t time_steps) {
   Rng rng(11);
   auto net = std::make_unique<SnnNetwork>(time_steps);
-  net->emplace<SpikingConv2d>(random_tensor({4, 3, 3, 3}, -0.4F, 0.6F, rng),
-                              Conv2dSpec{3, 4, 3, 1, 1}, neuron(d));
+  net->emplace<SynapticLayer>(
+      Synapse(random_tensor({4, 3, 3, 3}, -0.4F, 0.6F, rng), Conv2dSpec{3, 4, 3, 1, 1}),
+      neuron(d));
   net->emplace<SpikingMaxPool>(Pool2dSpec{});
   net->emplace<SpikingFlatten>();
-  net->emplace<SpikingLinear>(random_tensor({5, 64}, -0.3F, 0.3F, rng), IfConfig{},
-                              /*with_neuron=*/false);
+  net->emplace<SynapticLayer>(
+      Synapse(random_tensor({5, 64}, -0.3F, 0.3F, rng)), std::nullopt);
   return net;
 }
 
@@ -62,12 +63,12 @@ std::unique_ptr<SnnNetwork> conv_first_net(const Dynamics& d, std::int64_t time_
 std::unique_ptr<SnnNetwork> linear_first_net(const Dynamics& d, std::int64_t time_steps) {
   Rng rng(13);
   auto net = std::make_unique<SnnNetwork>(time_steps);
-  net->emplace<SpikingLinear>(random_tensor({16, 12}, -0.3F, 0.5F, rng), neuron(d),
-                              /*with_neuron=*/true);
-  net->emplace<SpikingLinear>(random_tensor({16, 16}, -0.3F, 0.5F, rng), neuron(d),
-                              /*with_neuron=*/true);
-  net->emplace<SpikingLinear>(random_tensor({5, 16}, -0.3F, 0.3F, rng), IfConfig{},
-                              /*with_neuron=*/false);
+  net->emplace<SynapticLayer>(
+      Synapse(random_tensor({16, 12}, -0.3F, 0.5F, rng)), neuron(d));
+  net->emplace<SynapticLayer>(
+      Synapse(random_tensor({16, 16}, -0.3F, 0.5F, rng)), neuron(d));
+  net->emplace<SynapticLayer>(
+      Synapse(random_tensor({5, 16}, -0.3F, 0.3F, rng)), std::nullopt);
   return net;
 }
 
@@ -108,11 +109,8 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
 
 /// Samples layer 0's synapse has dispatched since the last reset_stats().
 std::int64_t first_layer_samples(SnnNetwork& net) {
-  SpikingLayer& first = net.layer(0);
-  auto* conv = dynamic_cast<SpikingConv2d*>(&first);
   const SpikeKernelStats& s =
-      conv != nullptr ? conv->synapse().kernel_stats()
-                      : dynamic_cast<SpikingLinear&>(first).synapse().kernel_stats();
+      dynamic_cast<SynapticLayer&>(net.layer(0)).synapse().kernel_stats();
   return s.dense_samples + s.sparse_samples;
 }
 
@@ -199,7 +197,7 @@ TEST(HeldCurrentTest, HeldCurrentNeverOutlivesItsSequence) {
 
 TEST(HeldCurrentTest, OnlyAnEvalStepAfterHoldInputHoldsTheCurrent) {
   // A neuron-free 1 -> 1 linear layer with weight 1 returns its input.
-  SpikingLinear layer(Tensor({1, 1}, 1.0F), IfConfig{}, /*with_neuron=*/false);
+  SynapticLayer layer(Synapse(Tensor({1, 1}, 1.0F)), std::nullopt);
   const Tensor one({1, 1}, 1.0F);
   const Tensor two({1, 1}, 2.0F);
   layer.begin_sequence({1, 1}, 2, /*train=*/false);

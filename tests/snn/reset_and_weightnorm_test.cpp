@@ -119,8 +119,9 @@ TEST(WeightNormConversionTest, WeightsAreRescaledCopies) {
   auto net = core::convert(model, calib, cc, &report);
   ASSERT_EQ(report.sites.size(), 1U);
   const float lambda = report.sites[0].norm_factor;
-  auto* sconv = dynamic_cast<SpikingConv2d*>(&net->layer(0));
+  auto* sconv = dynamic_cast<SynapticLayer*>(&net->layer(0));
   ASSERT_NE(sconv, nullptr);
+  ASSERT_EQ(sconv->synapse().kind(), Synapse::Kind::kConv);
   auto* dconv = dynamic_cast<dnn::Conv2d*>(&model.layer(0));
   // Conv weights scaled by 1/lambda; readout scaled back by lambda.
   Tensor expected = dconv->weight().value * (1.0F / lambda);
@@ -149,8 +150,9 @@ TEST(ConversionConfigTest, HardResetPropagates) {
   // the conv layer is exactly 0 wherever a spike fired at the last step.
   Tensor x({1, 3, 8, 8}, 1.0F);
   net->forward(x, false);
-  auto* sconv = dynamic_cast<SpikingConv2d*>(&net->layer(0));
+  auto* sconv = dynamic_cast<SynapticLayer*>(&net->layer(0));
   ASSERT_NE(sconv, nullptr);
+  ASSERT_EQ(sconv->synapse().kind(), Synapse::Kind::kConv);
   const IfNeuron* neuron = sconv->neuron_or_null();
   ASSERT_NE(neuron, nullptr);
   EXPECT_GT(neuron->spikes_emitted(), 0);

@@ -20,9 +20,9 @@ std::unique_ptr<SnnNetwork> tiny_net(std::int64_t time_steps, float v_th) {
   auto net = std::make_unique<SnnNetwork>(time_steps);
   Tensor w1({4, 4});
   for (std::int64_t i = 0; i < 4; ++i) w1.at(i, i) = 1.0F;
-  net->emplace<SpikingLinear>(w1, if_config(v_th), /*with_neuron=*/true);
+  net->emplace<SynapticLayer>(Synapse(w1), if_config(v_th));
   Tensor w2({2, 4}, 0.5F);
-  net->emplace<SpikingLinear>(w2, IfConfig{}, /*with_neuron=*/false);
+  net->emplace<SynapticLayer>(Synapse(w2), std::nullopt);
   return net;
 }
 

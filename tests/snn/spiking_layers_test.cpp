@@ -20,7 +20,7 @@ TEST(SynapticConvTest, ForwardMatchesDenseConv) {
   Tensor weight({2, 1, 3, 3});
   uniform_fill(weight, -0.5F, 0.5F, rng);
   Conv2dSpec spec{1, 2, 3, 1, 1};
-  SynapticConv synapse(weight, spec);
+  Synapse synapse(weight, spec);
   synapse.begin_sequence(1, false);
   Tensor input({1, 1, 4, 4});
   uniform_fill(input, -1.0F, 1.0F, rng);
@@ -33,7 +33,7 @@ TEST(SynapticConvTest, ForwardMatchesDenseConv) {
 TEST(SynapticConvTest, CountsInputNonzeros) {
   Rng rng(1);
   Conv2dSpec spec{1, 1, 3, 1, 1};
-  SynapticConv synapse(Tensor({1, 1, 3, 3}, 0.1F), spec);
+  Synapse synapse(Tensor({1, 1, 3, 3}, 0.1F), spec);
   synapse.begin_sequence(2, false);
   Tensor input({1, 1, 2, 2});
   input[0] = 1.0F;
@@ -48,12 +48,12 @@ TEST(SynapticConvTest, CountsInputNonzeros) {
 
 TEST(SynapticConvTest, RejectsWrongWeightShape) {
   Conv2dSpec spec{2, 4, 3, 1, 1};
-  EXPECT_THROW(SynapticConv(Tensor({4, 2, 5, 5}), spec), std::invalid_argument);
+  EXPECT_THROW(Synapse(Tensor({4, 2, 5, 5}), spec), std::invalid_argument);
 }
 
 TEST(SynapticConvTest, BackwardRequiresForward) {
   Conv2dSpec spec{1, 1, 3, 1, 1};
-  SynapticConv synapse(Tensor({1, 1, 3, 3}), spec);
+  Synapse synapse(Tensor({1, 1, 3, 3}), spec);
   synapse.begin_sequence(1, true);
   EXPECT_THROW(synapse.backward(Tensor({1, 1, 4, 4}), 0), std::logic_error);
 }
@@ -61,7 +61,7 @@ TEST(SynapticConvTest, BackwardRequiresForward) {
 TEST(SpikingConv2dTest, StepProtocolAndSpikes) {
   Rng rng(2);
   Tensor weight({1, 1, 1, 1}, 1.0F);  // identity-ish 1x1 conv
-  SpikingConv2d layer(weight, Conv2dSpec{1, 1, 1, 1, 0}, if_config(1.0F));
+  SynapticLayer layer(Synapse(weight, Conv2dSpec{1, 1, 1, 1, 0}), if_config(1.0F));
   layer.begin_sequence({1, 1, 2, 2}, 2, false);
   Tensor input({1, 1, 2, 2}, 0.6F);
   const Tensor s0 = layer.step_forward(input, 0, false);
@@ -74,7 +74,7 @@ TEST(SpikingConv2dTest, StepProtocolAndSpikes) {
 
 TEST(SpikingLinearTest, WithNeuronEmitsSpikes) {
   Tensor weight({1, 2}, 1.0F);
-  SpikingLinear layer(weight, if_config(1.0F), /*with_neuron=*/true);
+  SynapticLayer layer(Synapse(weight), if_config(1.0F));
   layer.begin_sequence({1, 2}, 1, false);
   const Tensor s = layer.step_forward(Tensor({1, 2}, 0.7F), 0, false);
   EXPECT_FLOAT_EQ(s[0], 1.0F);  // current 1.4 > 1
@@ -83,12 +83,23 @@ TEST(SpikingLinearTest, WithNeuronEmitsSpikes) {
 
 TEST(SpikingLinearTest, WithoutNeuronPassesCurrent) {
   Tensor weight({1, 2}, 1.0F);
-  SpikingLinear layer(weight, if_config(), /*with_neuron=*/false);
+  SynapticLayer layer(Synapse(weight), std::nullopt);
   layer.begin_sequence({1, 2}, 1, false);
   const Tensor s = layer.step_forward(Tensor({1, 2}, 0.7F), 0, false);
   EXPECT_NEAR(s[0], 1.4F, 1e-6F);  // raw current, no threshold
   EXPECT_FALSE(layer.has_neuron());
   EXPECT_EQ(layer.neurons(), 0);
+}
+
+TEST(SynapticLayerTest, OnlyALinearSynapseMayGoWithoutANeuron) {
+  const Conv2dSpec spec{1, 1, 1, 1, 0};
+  EXPECT_THROW(SynapticLayer(Synapse(Tensor({1, 1, 1, 1}), spec), std::nullopt),
+               std::invalid_argument);
+  EXPECT_THROW(Synapse(Tensor({2, 1, 1})), std::invalid_argument);
+  // The artifact, probe and energy reports name the layer by its synapse.
+  EXPECT_EQ(SynapticLayer(Synapse(Tensor({1, 1, 1, 1}), spec), if_config()).name(),
+            "SpikingConv2d");
+  EXPECT_EQ(SynapticLayer(Synapse(Tensor({1, 2})), std::nullopt).name(), "SpikingLinear");
 }
 
 TEST(SpikingMaxPoolTest, BinaryInBinaryOut) {

@@ -156,7 +156,7 @@ TEST(PreparedWeightLifetimeTest, InPlaceConvWeightWriteShowsInNextSequence) {
   const Conv2dSpec spec{2, 4, 3, 1, 1};
   const Tensor weight = random_weight({4, 2, 3, 3}, rng);
   const Tensor input = mixed_batch({2, 2, 6, 6}, rng);
-  snn::SpikingConv2d layer(weight, spec, if_config());
+  snn::SynapticLayer layer(snn::Synapse(weight, spec), if_config());
   eval_sequence(layer, input);
   ASSERT_NE(layer.synapse().prepared_weight(), nullptr);
 
@@ -169,7 +169,7 @@ TEST(PreparedWeightLifetimeTest, InPlaceConvWeightWriteShowsInNextSequence) {
 
   Tensor written = weight;
   for (std::int64_t i = 0; i < written.numel(); ++i) written[i] = -written[i] * 2.0F;
-  snn::SpikingConv2d fresh(written, spec, if_config());
+  snn::SynapticLayer fresh(snn::Synapse(written, spec), if_config());
   EXPECT_TRUE(bitwise_equal(got, eval_sequence(fresh, input)))
       << "the next sequence served the operand of the old weight";
 }
@@ -179,7 +179,7 @@ TEST(PreparedWeightLifetimeTest, InPlaceLinearWeightWriteShowsAtInt8) {
   const Tensor weight = random_weight({12, 40}, rng);
   Tensor input({3, 40});
   uniform_fill(input, 0.0F, 1.0F, rng);  // dense: runs the int8 kernel
-  snn::SpikingLinear layer(weight, snn::IfConfig{}, /*with_neuron=*/false);
+  snn::SynapticLayer layer(snn::Synapse(weight), std::nullopt);
   layer.set_precision(Precision::kInt8);
   const Tensor before = eval_sequence(layer, input);
   ASSERT_NE(layer.synapse().prepared_weight(), nullptr);
@@ -192,7 +192,7 @@ TEST(PreparedWeightLifetimeTest, InPlaceLinearWeightWriteShowsAtInt8) {
 
   Tensor written = weight;
   for (std::int64_t i = 0; i < written.numel(); ++i) written[i] = 0.5F - written[i];
-  snn::SpikingLinear fresh(written, snn::IfConfig{}, /*with_neuron=*/false);
+  snn::SynapticLayer fresh(snn::Synapse(written), std::nullopt);
   fresh.set_precision(Precision::kInt8);
   const Tensor want = eval_sequence(fresh, input);
   EXPECT_TRUE(bitwise_equal(got, want))
@@ -207,14 +207,15 @@ TEST(PreparedWeightLifetimeTest, InPlaceLinearWeightWriteShowsAtInt8) {
 std::unique_ptr<snn::SnnNetwork> make_net() {
   Rng rng(21);
   auto net = std::make_unique<snn::SnnNetwork>(3);
-  net->emplace<snn::SpikingConv2d>(random_weight({24, 3, 3, 3}, rng),
-                                   Conv2dSpec{3, 24, 3, 1, 1}, if_config());
+  net->emplace<snn::SynapticLayer>(
+      snn::Synapse(random_weight({24, 3, 3, 3}, rng), Conv2dSpec{3, 24, 3, 1, 1}),
+      if_config());
   net->emplace<snn::SpikingMaxPool>(Pool2dSpec{2, 2});
   net->emplace<snn::SpikingFlatten>();
-  net->emplace<snn::SpikingLinear>(random_weight({40, 24 * 16}, rng), if_config(),
-                                   /*with_neuron=*/true);
-  net->emplace<snn::SpikingLinear>(random_weight({10, 40}, rng), snn::IfConfig{},
-                                   /*with_neuron=*/false);
+  net->emplace<snn::SynapticLayer>(
+      snn::Synapse(random_weight({40, 24 * 16}, rng)), if_config());
+  net->emplace<snn::SynapticLayer>(
+      snn::Synapse(random_weight({10, 40}, rng)), std::nullopt);
   return net;
 }
 
