@@ -44,7 +44,7 @@ void SnnRuntimeProbe::on_sequence_begin(snn::SnnNetwork& net, const Shape& input
     // Re-baseline against the cumulative counter so an external reset_stats()
     // (e.g. energy::measure_activity) between sequences cannot skew deltas.
     state.prev_spikes = net.layer(static_cast<std::int64_t>(i)).spikes_emitted();
-    if (config_.track_delta) state.out_sum.clear();
+    state.out_sum.clear();
   }
 }
 
@@ -59,13 +59,11 @@ void SnnRuntimeProbe::on_layer_step(snn::SnnNetwork& net, std::int64_t layer_ind
   state.spikes_total += step_spikes;
   state.neurons = layer.neurons();
 
-  if (config_.track_delta) {
-    if (state.out_sum.empty()) {
-      state.out_sum.assign(static_cast<std::size_t>(output.numel()), 0.0F);
-    }
-    for (std::int64_t i = 0; i < output.numel(); ++i) {
-      state.out_sum[static_cast<std::size_t>(i)] += output[i];
-    }
+  if (state.out_sum.empty()) {
+    state.out_sum.assign(static_cast<std::size_t>(output.numel()), 0.0F);
+  }
+  for (std::int64_t i = 0; i < output.numel(); ++i) {
+    state.out_sum[static_cast<std::size_t>(i)] += output[i];
   }
 
   if (!config_.keep_step_stats) return;
@@ -81,76 +79,71 @@ void SnnRuntimeProbe::on_layer_step(snn::SnnNetwork& net, std::int64_t layer_ind
       static_cast<double>(current_batch_) * static_cast<double>(state.neurons);
   stats.spike_rate = population > 0.0 ? static_cast<double>(step_spikes) / population : 0.0;
 
-  if (config_.membrane_stats) {
-    // neuron_or_null() is non-const only because fault injection mutates
-    // membranes through it; the probe reads only.
-    snn::IfNeuron* neuron =
-        const_cast<snn::SpikingLayer&>(layer).neuron_or_null();
-    const Tensor& u = neuron->membrane();
-    const float v_th = neuron->threshold();
-    const std::int64_t n = u.numel();
-    if (n > 0 && v_th > 0.0F) {
-      double sum = 0.0;
-      double sq_sum = 0.0;
-      std::int64_t saturated = 0;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const double v = u[i];
-        sum += v;
-        sq_sum += v * v;
-        if (v >= v_th) ++saturated;
-        const double ratio = v / v_th;
-        std::size_t bucket = kMembraneBucketEdges.size();
-        for (std::size_t b = 0; b < kMembraneBucketEdges.size(); ++b) {
-          if (ratio <= kMembraneBucketEdges[b]) {
-            bucket = b;
-            break;
-          }
+  // neuron_or_null() is non-const only because fault injection mutates
+  // membranes through it; the probe reads only.
+  snn::IfNeuron* neuron = const_cast<snn::SpikingLayer&>(layer).neuron_or_null();
+  const Tensor& u = neuron->membrane();
+  const float v_th = neuron->threshold();
+  const std::int64_t n = u.numel();
+  if (n > 0 && v_th > 0.0F) {
+    double sum = 0.0;
+    double sq_sum = 0.0;
+    std::int64_t saturated = 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const double v = u[i];
+      sum += v;
+      sq_sum += v * v;
+      if (v >= v_th) ++saturated;
+      const double ratio = v / v_th;
+      std::size_t bucket = kMembraneBucketEdges.size();
+      for (std::size_t b = 0; b < kMembraneBucketEdges.size(); ++b) {
+        if (ratio <= kMembraneBucketEdges[b]) {
+          bucket = b;
+          break;
         }
-        ++stats.membrane_histogram[bucket];
       }
-      const double mean = sum / static_cast<double>(n);
-      stats.membrane_mean = mean;
-      stats.membrane_var = std::max(sq_sum / static_cast<double>(n) - mean * mean, 0.0);
-      stats.saturation_fraction = static_cast<double>(saturated) / static_cast<double>(n);
+      ++stats.membrane_histogram[bucket];
     }
+    const double mean = sum / static_cast<double>(n);
+    stats.membrane_mean = mean;
+    stats.membrane_var = std::max(sq_sum / static_cast<double>(n) - mean * mean, 0.0);
+    stats.saturation_fraction = static_cast<double>(saturated) / static_cast<double>(n);
   }
   step_stats_.push_back(std::move(stats));
 }
 
 void SnnRuntimeProbe::on_sequence_end(snn::SnnNetwork& net) {
-  if (config_.track_delta) {
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-      LayerState& state = layers_[i];
-      if (!state.probed || state.out_sum.empty()) continue;
-      snn::IfNeuron* neuron = net.layer(static_cast<std::int64_t>(i)).neuron_or_null();
-      if (neuron == nullptr) continue;
-      // The input-reconstruction identity needs pure IF dynamics.
-      if (!snn::delta_identity_valid(neuron->leak(), neuron->reset_mode())) {
-        state.delta_valid = false;
-        continue;
-      }
-      const double v_th = neuron->threshold();
-      const double amplitude = static_cast<double>(neuron->beta()) * v_th;
-      if (v_th <= 0.0 || amplitude <= 0.0) continue;
-      const double init_charge =
-          static_cast<double>(neuron->initial_membrane_fraction()) * v_th;
-      const double t_steps = static_cast<double>(current_time_steps_);
-      double mu = v_th;
-      if (i < mu_by_layer_.size() && mu_by_layer_[i] > 0.0F) mu = mu_by_layer_[i];
-      const Tensor& u = neuron->membrane();
-      if (u.numel() != static_cast<std::int64_t>(state.out_sum.size())) continue;
-      double gap_sum = 0.0;
-      for (std::int64_t j = 0; j < u.numel(); ++j) {
-        const double out_sum = state.out_sum[static_cast<std::size_t>(j)];
-        const double spike_count = out_sum / amplitude;
-        const double in_sum = u[j] + v_th * spike_count - init_charge;
-        const double avg_in = in_sum / t_steps;
-        const double avg_out = out_sum / t_steps;
-        gap_sum += std::clamp(avg_in, 0.0, mu) - avg_out;
-      }
-      state.delta_sum += gap_sum;
-      state.delta_samples += u.numel();
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    LayerState& state = layers_[i];
+    if (!state.probed || state.out_sum.empty()) continue;
+    snn::IfNeuron* neuron = net.layer(static_cast<std::int64_t>(i)).neuron_or_null();
+    if (neuron == nullptr) continue;
+    // The input-reconstruction identity needs pure IF dynamics.
+    if (!snn::delta_identity_valid(neuron->leak(), neuron->reset_mode())) {
+      state.delta_valid = false;
+      continue;
     }
+    const double v_th = neuron->threshold();
+    const double amplitude = static_cast<double>(neuron->beta()) * v_th;
+    if (v_th <= 0.0 || amplitude <= 0.0) continue;
+    const double init_charge =
+        static_cast<double>(neuron->initial_membrane_fraction()) * v_th;
+    const double t_steps = static_cast<double>(current_time_steps_);
+    double mu = v_th;
+    if (i < mu_by_layer_.size() && mu_by_layer_[i] > 0.0F) mu = mu_by_layer_[i];
+    const Tensor& u = neuron->membrane();
+    if (u.numel() != static_cast<std::int64_t>(state.out_sum.size())) continue;
+    double gap_sum = 0.0;
+    for (std::int64_t j = 0; j < u.numel(); ++j) {
+      const double out_sum = state.out_sum[static_cast<std::size_t>(j)];
+      const double spike_count = out_sum / amplitude;
+      const double in_sum = u[j] + v_th * spike_count - init_charge;
+      const double avg_in = in_sum / t_steps;
+      const double avg_out = out_sum / t_steps;
+      gap_sum += std::clamp(avg_in, 0.0, mu) - avg_out;
+    }
+    state.delta_sum += gap_sum;
+    state.delta_samples += u.numel();
   }
   ++sequences_;
   samples_ += current_batch_;

@@ -65,10 +65,11 @@ struct LayerSummary {
 
 class SnnRuntimeProbe final : public snn::StepObserver {
  public:
+  /// Summaries (spike totals and the live Delta estimate) are always kept;
+  /// each per-step row carries the membrane mean, variance, saturation and
+  /// histogram.
   struct Config {
-    bool membrane_stats = true;  // mean/var/saturation/histogram per step
-    bool track_delta = true;     // live Delta_{alpha,beta} estimation
-    bool keep_step_stats = true; // retain per-step rows (summaries are always kept)
+    bool keep_step_stats = true;  // retain per-step rows
   };
 
   /// Attaches to `net` (replacing any previous observer). Detaches on

@@ -608,7 +608,8 @@ void conv_spiking(const Tensor& input, const float* wt, const PackedB* panels,
 
 /// Body shared by both linear_forward_spiking forms. `transposed_weight()`
 /// yields the [in, out] W^T and is called only when the sparse kernel runs;
-/// dense fp32 inputs use `panels` when given, else matmul_bt packs per call.
+/// dense fp32 inputs run the blocked GEMM at every batch size, on `panels`
+/// when given, else packing W^T per call (the same panels, so the same bits).
 template <typename TransposedWeight>
 void linear_spiking(const Tensor& input, const Tensor& weight,
                     TransposedWeight&& transposed_weight, const PackedB* panels,
@@ -632,12 +633,12 @@ void linear_spiking(const Tensor& input, const Tensor& weight,
     if (qweight != nullptr) {
       gemm_packed_int8(row_major(input.data(), in), *qweight, output.data(), m,
                        /*accumulate=*/false);
-    } else if (panels != nullptr && !use_naive(m, in, out)) {
-      // Exactly what matmul_bt runs at this shape, minus the packing.
+    } else if (panels != nullptr) {
       gemm_packed(row_major(input.data(), in), *panels, output.data(), m,
                   /*accumulate=*/false);
     } else {
-      matmul_bt(input.data(), weight.data(), output.data(), m, in, out);
+      gemm(row_major(input.data(), in), transposed(weight.data(), in), output.data(), m,
+           in, out, /*accumulate=*/false);
     }
     stats.dense_samples += m;
   }

@@ -44,8 +44,9 @@ void matmul_bt(const float* a, const float* b, float* c, std::int64_t m,
 
 // Reference scalar kernels (the pre-blocking implementations), retained as
 // the ground truth for the `ctest -L kernels` equivalence suite and as the
-// small-shape fast path: below kNaiveGemmCutoff elements of work, packing
-// overhead exceeds the blocked kernel's gain.
+// small-shape fast path of the matmul* entry points (the spiking forwards
+// never take it): below kNaiveGemmCutoff elements of work, packing overhead
+// exceeds the blocked kernel's gain.
 void matmul_naive(const float* a, const float* b, float* c, std::int64_t m,
                   std::int64_t k, std::int64_t n, bool accumulate = false);
 void matmul_at_naive(const float* a, const float* b, float* c, std::int64_t m,
@@ -182,8 +183,10 @@ void conv2d_forward_spiking(const Tensor& input, const PreparedWeight& prepared,
 
 /// Fully-connected forward (out[N,out] = input[N,in] * W^T) with the same
 /// density dispatch: sparse inputs take the row-compressed spike GEMM against
-/// prepared.transposed(). `weight` is the W `prepared` was built from (the
-/// small-shape dense path reads it directly). Same int8 contract as above.
+/// prepared.transposed(). Dense fp32 rows always run the blocked GEMM, so a
+/// row's output does not depend on the batch size; `weight` is the W
+/// `prepared` was built from, read only when `prepared` has no fp32 panels
+/// for the active kernel plan. Same int8 contract as above.
 void linear_forward_spiking(const Tensor& input, const Tensor& weight,
                             const PreparedWeight& prepared, Tensor& output,
                             float density_threshold, Precision precision,

@@ -171,7 +171,6 @@ TEST(SnnRuntimeProbe, ConfigCanDisableStepStats) {
   auto net = make_net(2);
   SnnRuntimeProbe::Config cfg;
   cfg.keep_step_stats = false;
-  cfg.membrane_stats = false;
   SnnRuntimeProbe probe(*net, cfg);
   net->reset_stats();
   net->forward(make_input(2), false);

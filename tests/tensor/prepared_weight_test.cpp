@@ -86,8 +86,8 @@ TEST(PreparedWeightTest, ConvMatchesPerCallFormBitwise) {
 
 TEST(PreparedWeightTest, LinearMatchesPerCallFormBitwise) {
   Rng rng(6);
-  // 512x10 at batch 1 takes matmul_bt's naive small-shape path; 96x200 and
-  // batch 8 take the blocked one.
+  // Dense batches take the blocked GEMM at every shape and batch size here;
+  // zero batches take the sparse kernel.
   for (const Shape& wshape : {Shape{10, 512}, Shape{200, 96}}) {
     const Tensor weight = random_weight(wshape, rng);
     const std::int64_t out = wshape[0];
@@ -117,6 +117,54 @@ TEST(PreparedWeightTest, LinearMatchesPerCallFormBitwise) {
               << (sparse ? " sparse" : " dense");
         }
       }
+    }
+  }
+}
+
+TEST(PreparedWeightTest, DenseLinearRowIsBitwiseTheSameAloneOrInABatch) {
+  IsaGuard guard;
+  Rng rng(9);
+  constexpr std::int64_t kBatch = 8;
+  // fc0 (64 -> 512) and fc2 (512 -> 10) of the served VGG-11.
+  for (const Shape& wshape : {Shape{512, 64}, Shape{10, 512}}) {
+    const Tensor weight = random_weight(wshape, rng);
+    const std::int64_t out = wshape[0];
+    const std::int64_t in = wshape[1];
+    Tensor batch({kBatch, in});
+    uniform_fill(batch, 0.0F, 1.0F, rng);  // no zeros: every call runs dense
+    for (const KernelIsa isa : supported_kernel_isas()) {
+      set_kernel_isa_for_testing(isa);
+      const std::string label = std::string(to_string(isa)) + " " +
+                                std::to_string(out) + "x" + std::to_string(in);
+      const PreparedWeight prepared(weight.data(), out, in, Precision::kFp32);
+      ASSERT_NE(prepared.fp32_panels(), nullptr) << label;
+      SpikeKernelStats stats;
+      std::vector<float> wt_cache;
+      Tensor together({kBatch, out});
+      Tensor together_per_call({kBatch, out});
+      linear_forward_spiking(batch, weight, prepared, together,
+                             kDefaultSpikeDensityThreshold, Precision::kFp32, stats);
+      linear_forward_spiking(batch, weight, together_per_call,
+                             kDefaultSpikeDensityThreshold, wt_cache, stats);
+      EXPECT_TRUE(bitwise_equal(together_per_call, together)) << label;
+      for (std::int64_t r = 0; r < kBatch; ++r) {
+        Tensor row({1, in});
+        std::memcpy(row.data(), batch.data() + r * in,
+                    static_cast<std::size_t>(in) * sizeof(float));
+        Tensor alone({1, out});
+        Tensor alone_per_call({1, out});
+        linear_forward_spiking(row, weight, prepared, alone,
+                               kDefaultSpikeDensityThreshold, Precision::kFp32, stats);
+        linear_forward_spiking(row, weight, alone_per_call,
+                               kDefaultSpikeDensityThreshold, wt_cache, stats);
+        EXPECT_EQ(std::memcmp(alone.data(), together.data() + r * out,
+                              static_cast<std::size_t>(out) * sizeof(float)),
+                  0)
+            << label << " row " << r;
+        EXPECT_TRUE(bitwise_equal(alone_per_call, alone)) << label << " row " << r;
+      }
+      EXPECT_EQ(stats.sparse_samples, 0) << label;
+      EXPECT_EQ(stats.dense_samples, 4 * kBatch) << label;
     }
   }
 }
