@@ -13,7 +13,7 @@
 #include "bench/common.h"
 #include "src/energy/energy_model.h"
 #include "src/energy/flops.h"
-#include "src/energy/spike_monitor.h"
+#include "src/obs/probe.h"
 #include "src/snn/sgl_trainer.h"
 #include "src/util/table.h"
 
@@ -71,8 +71,9 @@ int main() {
         snn::SglTrainer sgl(*snn, sc);
         sgl.fit(data.train);
       }
-      const energy::ActivityReport activity =
-          energy::measure_activity(*snn, data.test, setup.batch_size);
+      snn->reset_stats();
+      obs::SnnRuntimeProbe activity(*snn, {.keep_step_stats = false});
+      const double accuracy = snn::evaluate_snn(*snn, data.test, setup.batch_size);
       const energy::FlopsReport snn_flops = energy::count_snn_flops(*snn, input_shape);
       const double snn_pj = energy::compute_energy_pj(snn_flops);
       summary.add_row({ds, variant.label,
@@ -84,13 +85,13 @@ int main() {
       std::printf("[fig4] %s %-20s spikes/neuron %.3f  energy %.3e pJ  (DNN/SNN %.1fx,"
                   " acc %.3f)\n",
                   ds.c_str(), variant.label, activity.mean_spikes_per_neuron(), snn_pj,
-                  dnn_pj / snn_pj, activity.accuracy);
+                  dnn_pj / snn_pj, accuracy);
       std::fflush(stdout);
 
       if (variant.time_steps == 2) {
         // Per-layer spike profile for Fig. 4(a) (ours, T=2).
         Table layers({"layer", "neurons", "spikes/neuron/image"});
-        for (const auto& layer : activity.layers) {
+        for (const obs::LayerSummary& layer : activity.summaries()) {
           layers.add_row({layer.name, Table::fmt_int(layer.neurons),
                           Table::fmt(layer.spikes_per_neuron, 4)});
         }

@@ -1,13 +1,10 @@
 // Telemetry overhead microbenchmarks (docs/observability.md quotes these):
 //   * metric fast paths (counter add, gauge set, histogram observe),
-//   * TraceScope with the tracer disabled (the steady-state cost paid by
-//     instrumented code) and enabled,
-//   * an instrumented SNN forward pass: bare vs tracer on vs probe attached.
+//   * an SNN forward pass: bare vs runtime probe attached.
 #include <benchmark/benchmark.h>
 
 #include "src/obs/metrics.h"
 #include "src/obs/probe.h"
-#include "src/obs/trace.h"
 #include "src/snn/snn_network.h"
 #include "src/tensor/random.h"
 
@@ -43,29 +40,6 @@ void BM_HistogramObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramObserve);
 
-void BM_TraceScopeDisabled(benchmark::State& state) {
-  obs::Tracer::instance().set_enabled(false);
-  for (auto _ : state) {
-    ULLSNN_TRACE_SCOPE("bench.span");
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TraceScopeDisabled);
-
-void BM_TraceScopeEnabled(benchmark::State& state) {
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.set_enabled(true);
-  for (auto _ : state) {
-    ULLSNN_TRACE_SCOPE("bench.span");
-    benchmark::ClobberMemory();
-  }
-  tracer.set_enabled(false);
-  tracer.clear();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TraceScopeEnabled);
-
 std::unique_ptr<snn::SnnNetwork> overhead_net() {
   auto net = std::make_unique<snn::SnnNetwork>(4);
   Rng rng(11);
@@ -93,7 +67,6 @@ Tensor overhead_input() {
 void BM_SnnForwardBare(benchmark::State& state) {
   auto net = overhead_net();
   const Tensor input = overhead_input();
-  obs::Tracer::instance().set_enabled(false);
   for (auto _ : state) {
     Tensor logits = net->forward(input, false);
     benchmark::DoNotOptimize(logits.data());
@@ -101,24 +74,9 @@ void BM_SnnForwardBare(benchmark::State& state) {
 }
 BENCHMARK(BM_SnnForwardBare);
 
-void BM_SnnForwardTracerOn(benchmark::State& state) {
-  auto net = overhead_net();
-  const Tensor input = overhead_input();
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.set_enabled(true);
-  for (auto _ : state) {
-    Tensor logits = net->forward(input, false);
-    benchmark::DoNotOptimize(logits.data());
-  }
-  tracer.set_enabled(false);
-  tracer.clear();
-}
-BENCHMARK(BM_SnnForwardTracerOn);
-
 void BM_SnnForwardProbed(benchmark::State& state) {
   auto net = overhead_net();
   const Tensor input = overhead_input();
-  obs::Tracer::instance().set_enabled(false);
   obs::SnnRuntimeProbe::Config cfg;
   cfg.keep_step_stats = false;  // steady-state monitoring configuration
   obs::SnnRuntimeProbe probe(*net, cfg);
@@ -132,7 +90,6 @@ BENCHMARK(BM_SnnForwardProbed);
 void BM_SnnForwardProbedFull(benchmark::State& state) {
   auto net = overhead_net();
   const Tensor input = overhead_input();
-  obs::Tracer::instance().set_enabled(false);
   obs::SnnRuntimeProbe probe(*net);  // step stats + membrane histograms
   for (auto _ : state) {
     Tensor logits = net->forward(input, false);

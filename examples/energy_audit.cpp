@@ -12,7 +12,7 @@
 #include "src/energy/energy_model.h"
 #include "src/energy/flops.h"
 #include "src/energy/memory_model.h"
-#include "src/energy/spike_monitor.h"
+#include "src/obs/probe.h"
 #include "src/util/table.h"
 
 using namespace ullsnn;
@@ -47,10 +47,11 @@ int run(int argc, char** argv) {
               100.0 * result.sgl_accuracy);
 
   // Activity measurement over the test set.
-  const energy::ActivityReport activity =
-      energy::measure_activity(pipeline.snn(), test);
+  pipeline.snn().reset_stats();
+  obs::SnnRuntimeProbe activity(pipeline.snn(), {.keep_step_stats = false});
+  snn::evaluate_snn(pipeline.snn(), test);
   Table layers({"layer", "neurons/sample", "spikes/neuron/image"});
-  for (const auto& layer : activity.layers) {
+  for (const obs::LayerSummary& layer : activity.summaries()) {
     layers.add_row({layer.name, Table::fmt_int(layer.neurons),
                     Table::fmt(layer.spikes_per_neuron, 4)});
   }

@@ -6,8 +6,6 @@
 //                  [--dnn-epochs N] [--sgl-epochs N] [--train N] [--test N]
 //
 // Produces under --out (default "ullsnn_telemetry"):
-//   trace.json    chrome://tracing / Perfetto timeline of the whole run
-//   trace.jsonl   the same events, one JSON object per line
 //   probe.csv     per-layer spike activity summary (incl. the live Delta gap)
 //   probe.jsonl   per-layer per-step records (membrane stats + histograms)
 //   metrics.csv   final counter/gauge/histogram snapshot
@@ -57,8 +55,6 @@ int run(int argc, char** argv) {
   config.conversion.time_steps = std::stoll(get("timesteps", "2"));
   config.verbose = true;
   config.telemetry.enabled = true;
-  config.telemetry.trace_json_path = out_dir + "/trace.json";
-  config.telemetry.trace_jsonl_path = out_dir + "/trace.jsonl";
   config.telemetry.probe_csv_path = out_dir + "/probe.csv";
   config.telemetry.probe_jsonl_path = out_dir + "/probe.jsonl";
 
@@ -82,8 +78,7 @@ int run(int argc, char** argv) {
             "accuracies: DNN %.4f | converted %.4f | after SGL %.4f",
             result.dnn_accuracy, result.converted_accuracy, result.sgl_accuracy);
   obs::logf(obs::LogLevel::kInfo,
-            "artifacts in %s: trace.json (open in chrome://tracing), "
-            "trace.jsonl, probe.csv, probe.jsonl, metrics.csv",
+            "artifacts in %s: probe.csv, probe.jsonl, metrics.csv",
             out_dir.c_str());
   return 0;
 }

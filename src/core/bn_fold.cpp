@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include "src/obs/trace.h"
 
 #include "src/dnn/batchnorm.h"
 #include "src/dnn/conv2d.h"
@@ -31,7 +30,6 @@ void fold_bn_into_conv(dnn::Conv2d& conv, const dnn::BatchNorm2d& bn) {
 }
 
 std::unique_ptr<dnn::Sequential> fold_batchnorm(dnn::Sequential& model) {
-  ULLSNN_TRACE_SCOPE("core.bn_fold");
   auto folded = std::make_unique<dnn::Sequential>();
   dnn::Conv2d* last_conv = nullptr;
   for (dnn::LayerPtr& layer : model.release_layers()) {

@@ -77,6 +77,9 @@ ConversionReport plan_conversion(const ActivationProfile& profile,
 
 namespace {
 
+/// Seed of every converted network's SGL dropout stream.
+constexpr std::uint64_t kDropoutSeed = 123;
+
 snn::IfConfig make_if_config(const SiteScaling& scaling, const ConversionConfig& config) {
   snn::IfConfig neuron;
   neuron.v_threshold = scaling.v_threshold;
@@ -97,7 +100,7 @@ std::unique_ptr<snn::SnnNetwork> convert(dnn::Sequential& model,
                                          ConversionReport* report_out) {
   ConversionReport report = plan_conversion(profile, config);
   auto net = std::make_unique<snn::SnnNetwork>(config.time_steps);
-  net->seed_dropout(config.dropout_seed);
+  net->seed_dropout(kDropoutSeed);
 
   std::size_t site_idx = 0;
   const auto next_site = [&]() -> const SiteScaling& {

@@ -59,7 +59,6 @@ struct ConversionConfig {
   snn::ResetMode reset = snn::ResetMode::kSubtract;  // soft reset (Eq. 4)
   bool train_threshold = true;        // expose V_th / leak to SGL fine-tuning
   bool train_leak = true;
-  std::uint64_t dropout_seed = 123;
 };
 
 struct SiteScaling {

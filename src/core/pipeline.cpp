@@ -11,7 +11,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/probe.h"
 #include "src/obs/sink.h"
-#include "src/obs/trace.h"
 #include "src/util/timer.h"
 
 namespace ullsnn::core {
@@ -43,10 +42,13 @@ HybridPipeline::HybridPipeline(PipelineConfig config) : config_(std::move(config
 
 namespace {
 
-/// First `count` samples of `full` (a copy); the whole set when count <= 0 or
+/// Test samples of the telemetry probe pass.
+constexpr std::int64_t kProbeSamples = 256;
+
+/// First `count` samples of `full` (a copy); the whole set when count
 /// exceeds the set.
 data::LabeledImages head_subset(const data::LabeledImages& full, std::int64_t count) {
-  if (count <= 0 || count >= full.size()) return full;
+  if (count >= full.size()) return full;
   Shape shape = full.images.shape();
   const std::int64_t per_sample = full.images.numel() / shape[0];
   shape[0] = count;
@@ -96,28 +98,6 @@ verify::VerifyReport HybridPipeline::preflight() {
 
 PipelineResult HybridPipeline::run(const data::LabeledImages& train,
                                    const data::LabeledImages& test) {
-  const TelemetryOptions& tel = config_.telemetry;
-  const bool tracer_was_enabled = obs::Tracer::instance().enabled();
-  if (tel.enabled) obs::Tracer::instance().set_enabled(true);
-  // The stage work lives in run_stages() so its "pipeline.run" span closes
-  // before the trace files are written below.
-  PipelineResult result = run_stages(train, test);
-  if (tel.enabled) {
-    run_probed_inference(test, result.conversion_report);
-    if (!tel.trace_json_path.empty()) {
-      obs::Tracer::instance().write_chrome_trace(tel.trace_json_path);
-    }
-    if (!tel.trace_jsonl_path.empty()) {
-      obs::Tracer::instance().write_jsonl(tel.trace_jsonl_path);
-    }
-    obs::Tracer::instance().set_enabled(tracer_was_enabled);
-  }
-  return result;
-}
-
-PipelineResult HybridPipeline::run_stages(const data::LabeledImages& train,
-                                          const data::LabeledImages& test) {
-  ULLSNN_TRACE_SCOPE("pipeline.run");
   ULLSNN_COUNTER_ADD("pipeline.runs", 1);
 
   PipelineResult result;
@@ -126,7 +106,7 @@ PipelineResult HybridPipeline::run_stages(const data::LabeledImages& train,
   if (ck.enabled) {
     std::filesystem::create_directories(ck.dir);
     const std::string mpath = robust::manifest_path(ck.dir);
-    if (ck.resume && std::filesystem::exists(mpath)) {
+    if (std::filesystem::exists(mpath)) {
       manifest = robust::load_manifest(mpath);
       if (config_.verbose && manifest.stage_completed > 0) {
         obs::logf(obs::LogLevel::kInfo,
@@ -143,7 +123,6 @@ PipelineResult HybridPipeline::run_stages(const data::LabeledImages& train,
   // weights, so stages (a) and (b) are both gated here — before any training
   // cost is paid — rather than after stage (a) completes.
   if (config_.verify.mode != VerifyGateConfig::Mode::kOff) {
-    ULLSNN_TRACE_SCOPE("pipeline.verify.preflight");
     apply_verify_gate(verify::verify_model(*dnn_, preflight_options(config_)),
                       "preflight");
   }
@@ -151,17 +130,16 @@ PipelineResult HybridPipeline::run_stages(const data::LabeledImages& train,
   // Stages (a) and (c) share one body: a stage the manifest records as done
   // is replayed from its weights and recorded metrics; otherwise it trains
   // (resuming from its epoch checkpoint) and is persisted with the manifest.
-  const auto train_stage = [&](int stage, const char* span, dnn::TrainLoop& trainer,
+  const auto train_stage = [&](int stage, dnn::TrainLoop& trainer,
                                const std::vector<dnn::Param*>& params,
                                double& accuracy, double& seconds) {
     if (ck.enabled && manifest.stage_completed >= stage) {
       robust::load_params(params, robust::stage_weights_path(ck.dir, stage));
       return;
     }
-    ULLSNN_TRACE_SCOPE(span);
     Timer timer;
     std::unique_ptr<robust::TrainCheckpointer> epoch_ckpt;
-    if (ck.enabled && ck.epoch_checkpoints) {
+    if (ck.enabled) {
       epoch_ckpt = std::make_unique<robust::TrainCheckpointer>(
           robust::stage_train_state_path(ck.dir, stage));
     }
@@ -180,7 +158,7 @@ PipelineResult HybridPipeline::run_stages(const data::LabeledImages& train,
   dnn::TrainConfig dnn_cfg = config_.dnn_train;
   dnn_cfg.verbose = config_.verbose;
   dnn::DnnTrainer dnn_trainer(*dnn_, dnn_cfg);
-  train_stage(1, "pipeline.stage_a.dnn_train", dnn_trainer, dnn_->params(),
+  train_stage(1, dnn_trainer, dnn_->params(),
               manifest.dnn_accuracy, manifest.dnn_train_seconds);
   result.dnn_accuracy = manifest.dnn_accuracy;
   result.dnn_train_seconds = manifest.dnn_train_seconds;
@@ -194,15 +172,11 @@ PipelineResult HybridPipeline::run_stages(const data::LabeledImages& train,
   // deterministic given the stage-(a) weights, so a resumed run rebuilds the
   // SNN topology and the report by re-converting, then (for stage >= 2)
   // overlays the persisted weights — identical to the uninterrupted run.
-  {
-    ULLSNN_TRACE_SCOPE("pipeline.stage_b.convert");
-    snn_ = convert(*dnn_, train, config_.conversion, &result.conversion_report);
-  }
+  snn_ = convert(*dnn_, train, config_.conversion, &result.conversion_report);
   if (ck.enabled && manifest.stage_completed >= 2) {
     robust::load_params(snn_->params(), robust::stage_weights_path(ck.dir, 2));
     result.converted_accuracy = manifest.converted_accuracy;
   } else {
-    ULLSNN_TRACE_SCOPE("pipeline.stage_b.evaluate");
     result.converted_accuracy = snn::evaluate_snn(*snn_, test);
     if (ck.enabled) {
       robust::save_params(snn_->params(), robust::stage_weights_path(ck.dir, 2));
@@ -223,7 +197,6 @@ PipelineResult HybridPipeline::run_stages(const data::LabeledImages& train,
   // the (alpha, beta, V_th) entries and their alignment with the model's
   // activation sites before spending the SGL fine-tuning epochs.
   if (config_.verify.mode != VerifyGateConfig::Mode::kOff) {
-    ULLSNN_TRACE_SCOPE("pipeline.verify.report");
     apply_verify_gate(
         verify::check_conversion_report(result.conversion_report, config_.conversion,
                                         verify::count_activation_sites(*dnn_)),
@@ -234,7 +207,7 @@ PipelineResult HybridPipeline::run_stages(const data::LabeledImages& train,
   snn::SglConfig sgl_cfg = config_.sgl;
   sgl_cfg.verbose = config_.verbose;
   snn::SglTrainer sgl_trainer(*snn_, sgl_cfg);
-  train_stage(3, "pipeline.stage_c.sgl_train", sgl_trainer, snn_->params(),
+  train_stage(3, sgl_trainer, snn_->params(),
               manifest.sgl_accuracy, manifest.sgl_train_seconds);
   result.sgl_accuracy = manifest.sgl_accuracy;
   result.sgl_train_seconds = manifest.sgl_train_seconds;
@@ -244,14 +217,14 @@ PipelineResult HybridPipeline::run_stages(const data::LabeledImages& train,
               result.sgl_accuracy);
   }
 
+  if (config_.telemetry.enabled) run_probed_inference(test, result.conversion_report);
   return result;
 }
 
 void HybridPipeline::run_probed_inference(const data::LabeledImages& test,
                                           const ConversionReport& report) {
-  ULLSNN_TRACE_SCOPE("pipeline.probe");
   const TelemetryOptions& tel = config_.telemetry;
-  const data::LabeledImages probe_set = head_subset(test, tel.probe_samples);
+  const data::LabeledImages probe_set = head_subset(test, kProbeSamples);
 
   obs::SnnRuntimeProbe::Config probe_cfg;
   probe_cfg.keep_step_stats = !tel.probe_jsonl_path.empty();
@@ -282,7 +255,6 @@ void HybridPipeline::run_probed_inference(const data::LabeledImages& test,
 
 double HybridPipeline::run_conversion_only(const data::LabeledImages& train,
                                            const data::LabeledImages& test) {
-  ULLSNN_TRACE_SCOPE("pipeline.conversion_only");
   if (!dnn_) {
     Rng rng(config_.weight_seed);
     dnn_ = build_model(config_.arch, config_.model, rng);

@@ -34,31 +34,23 @@ const char* to_string(Architecture arch);
 std::unique_ptr<dnn::Sequential> build_model(Architecture arch,
                                              const dnn::ModelConfig& config, Rng& rng);
 
-/// Stage-level checkpoint/resume behaviour of HybridPipeline::run().
+/// Stage-level checkpoint/resume behaviour of HybridPipeline::run(). When
+/// enabled, run() consumes an existing manifest in `dir` and skips completed
+/// stages, and stages (a) and (c) also checkpoint after every epoch, so an
+/// interrupt mid-stage loses at most one epoch rather than the whole stage.
 struct CheckpointConfig {
   bool enabled = false;
   std::string dir = "ullsnn_checkpoints";
-  /// Consume an existing manifest in `dir` and skip completed stages. With
-  /// false, run() starts from scratch but still writes checkpoints.
-  bool resume = true;
-  /// Also checkpoint stages (a) and (c) after every epoch, so an interrupt
-  /// mid-stage loses at most one epoch rather than the whole stage.
-  bool epoch_checkpoints = true;
 };
 
-/// Telemetry artifacts of HybridPipeline::run(). With `enabled`, tracing is
-/// switched on for the duration of run(), stage spans are recorded, and a
-/// probed inference pass runs after stage (c) to collect per-layer spike
-/// rates, membrane statistics, and the live Delta_{alpha,beta} gap. Each
-/// path is optional; empty skips that artifact.
+/// Telemetry artifacts of HybridPipeline::run(). With `enabled`, a probed
+/// inference pass over the first 256 test samples runs after stage (c) to
+/// collect per-layer spike rates, membrane statistics, and the live
+/// Delta_{alpha,beta} gap. Each path is optional; empty skips that artifact.
 struct TelemetryOptions {
   bool enabled = false;
-  std::string trace_json_path;   // chrome://tracing "traceEvents" JSON
-  std::string trace_jsonl_path;  // one trace event per line
   std::string probe_csv_path;    // per-layer activity summary (CSV)
   std::string probe_jsonl_path;  // per-layer per-step records (JSONL)
-  /// Test samples for the probed pass; <= 0 probes the full test set.
-  std::int64_t probe_samples = 256;
 };
 
 /// Static-verification gate of HybridPipeline::run(). The graph and
@@ -123,11 +115,7 @@ class HybridPipeline {
  private:
   /// Log `report` and, in strict mode, throw verify::VerifyError on errors.
   void apply_verify_gate(const verify::VerifyReport& report, const char* stage);
-  /// Stages (a)-(c), wrapped in the "pipeline.run" trace span.
-  PipelineResult run_stages(const data::LabeledImages& train,
-                            const data::LabeledImages& test);
-
-  /// Telemetry epilogue of run(): probed inference over (a subset of) the
+  /// Telemetry epilogue of run(): probed inference over the head of the
   /// test set, emitting per-layer activity through the configured sinks.
   void run_probed_inference(const data::LabeledImages& test,
                             const ConversionReport& report);

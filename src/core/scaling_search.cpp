@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace ullsnn::core {
 
@@ -40,7 +39,6 @@ ScalingResult search_over_alphas(const std::vector<float>& alphas,
                                  const std::vector<float>& percentiles, float mu,
                                  std::int64_t time_steps, float beta_step) {
   if (beta_step <= 0.0F) throw std::invalid_argument("beta_step must be positive");
-  ULLSNN_TRACE_SCOPE("core.scaling_search");
   ScalingResult best;
   best.initial_loss = compute_scaling_loss(percentiles, mu, 1.0F, 1.0F, time_steps);
   best.loss = best.initial_loss;

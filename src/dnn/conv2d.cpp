@@ -1,7 +1,6 @@
 #include "src/dnn/conv2d.h"
 
 #include <stdexcept>
-#include "src/obs/trace.h"
 
 namespace ullsnn::dnn {
 
@@ -41,7 +40,6 @@ void Conv2d::set_bias(Tensor bias) {
 }
 
 Tensor Conv2d::forward(const Tensor& input, bool train) {
-  ULLSNN_TRACE_SCOPE("dnn.conv2d.forward");
   if (input.rank() != 4) throw std::invalid_argument("Conv2d: input must be NCHW");
   Tensor out(output_shape(input.shape()));
   conv2d_forward(input, weight_.value, bias_.value, out, spec_);
@@ -50,7 +48,6 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
-  ULLSNN_TRACE_SCOPE("dnn.conv2d.backward");
   if (cached_input_.empty()) {
     throw std::logic_error("Conv2d::backward without cached forward");
   }

@@ -1,7 +1,6 @@
 #include "src/dnn/linear.h"
 
 #include <stdexcept>
-#include "src/obs/trace.h"
 
 #include "src/tensor/ops.h"
 
@@ -25,7 +24,6 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, bool bias, R
 }
 
 Tensor Linear::forward(const Tensor& input, bool train) {
-  ULLSNN_TRACE_SCOPE("dnn.linear.forward");
   if (input.rank() != 2 || input.dim(1) != in_) {
     throw std::invalid_argument("Linear: expected [N, " + std::to_string(in_) +
                                 "], got " + shape_to_string(input.shape()));
@@ -45,7 +43,6 @@ Tensor Linear::forward(const Tensor& input, bool train) {
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
-  ULLSNN_TRACE_SCOPE("dnn.linear.backward");
   if (cached_input_.empty()) {
     throw std::logic_error("Linear::backward without cached forward");
   }

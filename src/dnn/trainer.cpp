@@ -7,14 +7,12 @@
 #include "src/dnn/loss.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/util/timer.h"
 
 namespace ullsnn::dnn {
 
 EpochStats TrainLoop::train_epoch(const data::LabeledImages& train,
                                   std::int64_t epoch) {
-  ULLSNN_TRACE_SCOPE(names_.span);
   Timer timer;
   optimizer_.set_lr(schedule_.lr_at(epoch) * lr_scale_);
   data::BatchIterator batches(train, batch_size_, rng_);
@@ -110,7 +108,7 @@ double TrainLoop::evaluate(const data::LabeledImages& dataset) {
 }
 
 DnnTrainer::DnnTrainer(Sequential& model, TrainConfig config)
-    : TrainLoop({"dnn", "dnn.train_epoch", "DnnTrainer"}, model.params(), config),
+    : TrainLoop({"dnn", "DnnTrainer"}, model.params(), config),
       model_(&model),
       mu_l2_(config.mu_l2) {
   for (Param* p : params_) {

@@ -76,10 +76,9 @@ class TrainLoop {
 
  protected:
   /// `tag` names the stage's metrics ("<tag>.epochs") and log lines
-  /// ("[<tag>]"), `span` its train_epoch trace span, `who` its abort messages.
+  /// ("[<tag>]"), `who` its abort messages.
   struct Names {
     const char* tag;
-    const char* span;
     const char* who;
   };
 

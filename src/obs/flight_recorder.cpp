@@ -1,12 +1,12 @@
 #include "src/obs/flight_recorder.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <fstream>
 
 #include "src/obs/log.h"
-#include "src/obs/trace.h"
 
 namespace ullsnn::obs {
 
@@ -59,6 +59,13 @@ FlightRecorder::FlightRecorder(std::size_t request_capacity,
                                std::size_t event_capacity)
     : requests_(request_capacity), events_(event_capacity) {}
 
+std::uint64_t FlightRecorder::now_us() {
+  static const auto epoch = std::chrono::steady_clock::now();
+  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
+                                        std::chrono::steady_clock::now() - epoch)
+                                        .count());
+}
+
 void FlightRecorder::record_request(const RequestRecord& record) {
   requests_.push(record);
 }
@@ -68,7 +75,7 @@ void FlightRecorder::record_event_v(const char* kind, const char* fmt,
   FlightEvent event;
   copy_truncated(event.kind, sizeof event.kind, kind);
   std::vsnprintf(event.detail, sizeof event.detail, fmt, args);
-  event.ts_us = Tracer::now_us();
+  event.ts_us = now_us();
   events_.push(event);
 }
 
@@ -101,7 +108,7 @@ void FlightRecorder::note_anomaly(const char* kind, const char* fmt, ...) {
   {
     MutexLock lock(dump_mu_);
     if (dump_path_.empty()) return;
-    const std::uint64_t now = Tracer::now_us();
+    const std::uint64_t now = now_us();
     if (ever_dumped_ && now - last_dump_us_ < kDumpMinIntervalUs) return;
     ever_dumped_ = true;
     last_dump_us_ = now;

@@ -13,7 +13,7 @@
 // anomaly storm produces one dump per second rather than thousands. The
 // dump answers the post-incident question "what were the last 4096 requests
 // doing, and which state transitions surrounded them?" — each line carries
-// the request id, so it joins against rid-tagged log lines and trace events.
+// the request id, so it joins against rid-tagged log lines.
 #pragma once
 
 #include <atomic>
@@ -44,7 +44,7 @@ struct RequestRecord {
   double total_ms = 0.0;       // admission -> fulfillment
   double step_ms[kMaxSteps] = {0.0};  // per-time-step forward durations
   std::int32_t steps = 0;             // entries of step_ms actually filled
-  std::uint64_t ts_us = 0;            // fulfillment time (trace epoch)
+  std::uint64_t ts_us = 0;            // fulfillment time (now_us())
 };
 
 /// State-transition / anomaly event.
@@ -62,6 +62,10 @@ class FlightRecorder {
 
   explicit FlightRecorder(std::size_t request_capacity = 4096,
                           std::size_t event_capacity = 1024);
+
+  /// Microseconds since the recorder's epoch (the clock's first use in the
+  /// process); every ts_us is on this clock.
+  static std::uint64_t now_us();
 
   void record_request(const RequestRecord& record);
   /// printf-style detail; truncated to FlightEvent::detail.

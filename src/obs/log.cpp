@@ -74,7 +74,7 @@ void vlogf(LogLevel level, const char* fmt, std::va_list args) {
                           ? stderr
                           : stdout;
   // One stdio call per line so concurrent writers never interleave mid-line;
-  // the rid tag joins this line to traces and flight-recorder records.
+  // the rid tag joins this line to flight-recorder records.
   if (t_request_id >= 0) {
     std::fprintf(stream, needs_newline ? "[rid=%lld] %s\n" : "[rid=%lld] %s",
                  static_cast<long long>(t_request_id), buf);

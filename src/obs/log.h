@@ -10,7 +10,7 @@
 // Request-id tagging: the serving engine marks the request (batch) a worker
 // thread is handling via set_log_request_id / LogRequestScope; every log
 // line emitted by that thread is then prefixed with "[rid=N]", making logs
-// joinable against trace events and flight-recorder records during incident
+// joinable against flight-recorder records and responses during incident
 // forensics. The id is thread-local; -1 (the default) disables the prefix.
 #pragma once
 

@@ -42,7 +42,7 @@ void SnnRuntimeProbe::on_sequence_begin(snn::SnnNetwork& net, const Shape& input
     LayerState& state = layers_[i];
     if (!state.probed) continue;
     // Re-baseline against the cumulative counter so an external reset_stats()
-    // (e.g. energy::measure_activity) between sequences cannot skew deltas.
+    // between sequences cannot skew deltas.
     state.prev_spikes = net.layer(static_cast<std::int64_t>(i)).spikes_emitted();
     state.out_sum.clear();
   }
@@ -175,6 +175,14 @@ std::int64_t SnnRuntimeProbe::total_spikes() const {
   std::int64_t total = 0;
   for (const LayerState& state : layers_) total += state.spikes_total;
   return total;
+}
+
+double SnnRuntimeProbe::mean_spikes_per_neuron() const {
+  const std::vector<LayerSummary> layers = summaries();
+  if (layers.empty()) return 0.0;
+  double acc = 0.0;
+  for (const LayerSummary& layer : layers) acc += layer.spikes_per_neuron;
+  return acc / static_cast<double>(layers.size());
 }
 
 void SnnRuntimeProbe::reset() {

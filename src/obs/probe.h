@@ -1,12 +1,14 @@
 // SNN runtime probes: per-layer spike rates, membrane-potential statistics,
 // threshold-crossing histograms, and a live estimate of the paper's layer
 // activation gap Delta_{alpha,beta}, collected during ordinary forward passes
-// via snn::StepObserver.
+// via snn::StepObserver. This is the one per-layer activity reader: Fig. 4(a)
+// spikes per neuron per image come from summaries() and
+// mean_spikes_per_neuron().
 //
 // Spike counts are read from the layers' own activity counters (per-step
 // deltas of spikes_emitted()), so probe totals agree with
-// energy::SpikeMonitor / count_snn_flops EXACTLY — same counters, no second
-// bookkeeping.
+// SnnNetwork::total_spikes() / count_snn_flops EXACTLY — same counters, no
+// second bookkeeping.
 //
 // The live Delta estimate uses the soft-reset IF identity: over a sequence,
 //   sum_t I(t) = U(T) - U(0) + V_th * n_spikes        (leak = 1, Eq. 2-4)
@@ -104,6 +106,9 @@ class SnnRuntimeProbe final : public snn::StepObserver {
   /// Total spikes across probed layers (== SnnNetwork::total_spikes() over
   /// the same run).
   std::int64_t total_spikes() const;
+  /// Mean over probed layers of spikes per neuron per image (the Fig. 4(a)
+  /// rollup); 0 when the network has no IF layer.
+  double mean_spikes_per_neuron() const;
 
   /// Drop all collected data (the attachment and mu table are kept).
   void reset();

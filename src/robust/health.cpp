@@ -1,12 +1,10 @@
 #include "src/robust/health.h"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace ullsnn::robust {
 
@@ -103,28 +101,11 @@ bool HealthMonitor::restore(const std::vector<dnn::Param*>& params,
   return true;
 }
 
-namespace {
-
-/// Structured args body for the trace instant recorded on every fault.
-std::string fault_args(const HealthReport& report) {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "\"nan\":%lld,\"inf\":%lld,\"exploded\":%lld,\"loss_finite\":%s",
-                static_cast<long long>(report.nan_count),
-                static_cast<long long>(report.inf_count),
-                static_cast<long long>(report.exploded_count),
-                report.loss_finite ? "true" : "false");
-  return buf;
-}
-
-}  // namespace
-
 GuardAction HealthMonitor::decide(const HealthReport& report) {
   if (config_.policy == GuardPolicy::kOff || report.healthy()) {
     return GuardAction::kProceed;
   }
   ULLSNN_COUNTER_ADD("health.faults", 1);
-  ULLSNN_TRACE_INSTANT_ARGS("health.fault", fault_args(report).c_str());
   switch (config_.policy) {
     case GuardPolicy::kWarn:
       obs::logf(obs::LogLevel::kWarn, "[health] WARNING: %s", report.describe().c_str());
@@ -145,7 +126,6 @@ GuardAction HealthMonitor::decide(const HealthReport& report) {
       lr_scale_.store(scale, std::memory_order_relaxed);
       ULLSNN_COUNTER_ADD("health.rollbacks", 1);
       ULLSNN_GAUGE_SET("health.lr_scale", scale);
-      ULLSNN_TRACE_INSTANT("health.rollback");
       if (config_.verbose) {
         obs::logf(obs::LogLevel::kWarn,
                   "[health] rollback %lld/%lld (lr scale %.3g): %s",

@@ -12,7 +12,6 @@
 #include "src/obs/http_endpoint.h"
 #include "src/obs/log.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/util/timer.h"
 
 namespace ullsnn::serve {
@@ -28,10 +27,6 @@ robust::GuardConfig monitor_config() {
   gc.policy = robust::GuardPolicy::kOff;  // engine only uses the scan, not the policy
   return gc;
 }
-
-/// Every Nth fulfilled request is sampled into the trace sink (when the
-/// tracer is enabled) as a serve.request instant with its id/status/latency.
-constexpr std::int64_t kTraceSampleEvery = 64;
 
 /// Millisecond-scale latency buckets for the serve.latency.* histograms:
 /// fine enough that the SLO tracker's within-bucket interpolation keeps
@@ -157,7 +152,6 @@ void ServeEngine::start() {
           std::move(replicas[static_cast<std::size_t>(w)]));
     }
     workers_.emplace_back([this, w, net = std::move(prebuilt)]() mutable {
-      ULLSNN_TRACE_SCOPE("serve.worker");
       // Registry mode: `pinned` keeps the mmap alive for exactly as long as
       // this worker's replica borrows weights from it.
       std::shared_ptr<const artifact::UllsnnArtifact> pinned;
@@ -406,7 +400,7 @@ bool ServeEngine::fulfill(const SlotPtr& slot, InferResponse&& response,
   response.total_ms = ms_between(slot->enqueue_time(), Clock::now());
   const double total_ms = response.total_ms;
   // Copy the flat trace fields out before fulfill() moves the response to
-  // the client: the recorder and sink must never touch client-owned memory.
+  // the client: the recorder must never touch client-owned memory.
   obs::RequestRecord record;
   record.id = response.id;
   std::snprintf(record.status, sizeof record.status, "%s",
@@ -425,24 +419,14 @@ bool ServeEngine::fulfill(const SlotPtr& slot, InferResponse&& response,
   for (std::int32_t s = 0; s < record.steps; ++s) {
     record.step_ms[s] = response.step_ms[static_cast<std::size_t>(s)];
   }
-  record.ts_us = obs::Tracer::now_us();
+  record.ts_us = obs::FlightRecorder::now_us();
   const ResponseStatus status = response.status;
-  const bool won = slot->fulfill(std::move(response), [&] {
+  return slot->fulfill(std::move(response), [&] {
     count_terminal(status, slot->priority());
     if (on_win) on_win();
     obs::FlightRecorder::instance().record_request(record);
     latency_total_ms_.observe(total_ms);
   });
-  if (!won) return false;
-  if (record.id % kTraceSampleEvery == 0 && obs::Tracer::instance().enabled()) {
-    char args[80];
-    std::snprintf(args, sizeof args,
-                  "\"id\":%lld,\"status\":\"%s\",\"total_ms\":%.3f",
-                  static_cast<long long>(record.id), to_string(status),
-                  total_ms);
-    obs::Tracer::instance().record_instant("serve.request", args);
-  }
-  return true;
 }
 
 bool ServeEngine::logits_healthy(const Tensor& logits) const {
@@ -453,9 +437,8 @@ bool ServeEngine::logits_healthy(const Tensor& logits) const {
 
 bool ServeEngine::run_batch(snn::SnnNetwork& net, MicroBatch&& batch,
                             std::int64_t worker_index) {
-  ULLSNN_TRACE_SCOPE("serve.batch");
   // Tag every log line from this batch with its lead request id so logs
-  // join against traces and flight-recorder records.
+  // join against flight-recorder records.
   const std::int64_t lead_id = !batch.requests.empty()
                                    ? batch.requests.front().slot->id()
                                    : (!batch.expired.empty()
@@ -570,7 +553,6 @@ bool ServeEngine::run_batch(snn::SnnNetwork& net, MicroBatch&& batch,
       }
     }
     try {
-      ULLSNN_TRACE_SCOPE("serve.forward");
       infer_timer.reset();
       if (config_.before_forward_hook) {
         config_.before_forward_hook(ids, attempt, net);

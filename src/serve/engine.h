@@ -244,8 +244,7 @@ class ServeEngine {
   bool run_batch(snn::SnnNetwork& net, MicroBatch&& batch,
                  std::int64_t worker_index);
   /// Terminal fulfillment: stamps id/total_ms, completes the slot, records
-  /// the request into the flight recorder, samples it into the trace sink,
-  /// and observes the latency histograms. Returns whether this call won the
+  /// the request into the flight recorder and observes the latency histograms. Returns whether this call won the
   /// first-fulfillment race (losers record nothing). The recording runs
   /// inside the slot's winning critical section — before any waiter wakes —
   /// so exported counters are conserved from the client's point of view;

@@ -92,8 +92,8 @@ struct InferResponse {
   // Request-scoped trace: the monotonically unique id assigned at admission
   // plus the per-stage timing record, propagated through queue wait ->
   // micro-batch formation -> per-time-step forward -> fulfillment. The same
-  // record lands in the flight recorder and (sampled) in the trace sink;
-  // the id joins all three against [rid=N]-tagged log lines.
+  // record lands in the flight recorder; the id joins it against
+  // [rid=N]-tagged log lines.
   std::int64_t id = -1;        // request id (echoes ResponseFuture::id())
   double queue_ms = 0.0;       // admission -> popped from the bounded queue
   double batch_ms = 0.0;       // popped -> micro-batch dispatched to forward

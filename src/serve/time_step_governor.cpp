@@ -7,7 +7,6 @@
 
 #include "src/obs/flight_recorder.h"
 #include "src/obs/log.h"
-#include "src/obs/trace.h"
 
 namespace ullsnn::serve {
 
@@ -52,7 +51,6 @@ std::int64_t TimeStepGovernor::granted_t_locked() const {
 void TimeStepGovernor::note(Signal signal, const char* cause) {
   const std::int64_t t = granted_t_locked();
   history_.push_back({sequence_, signal, state_, t, cause});
-  ULLSNN_TRACE_INSTANT("serve.governor.transition");
 
   const bool health = signal == Signal::kHealth;
   char moved_to[32];

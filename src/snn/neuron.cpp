@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "src/obs/trace.h"
 
 namespace ullsnn::snn {
 
@@ -54,7 +53,6 @@ void IfNeuron::clear_state() {
 }
 
 Tensor IfNeuron::step_forward(const Tensor& current, std::int64_t t, bool train) {
-  ULLSNN_TRACE_SCOPE("snn.if.step_forward");
   if (current.shape() != membrane_.shape()) {
     throw std::invalid_argument("IfNeuron: current shape " +
                                 shape_to_string(current.shape()) +
@@ -111,7 +109,6 @@ void IfNeuron::begin_backward() {
 }
 
 Tensor IfNeuron::step_backward(const Tensor& grad_spikes, std::int64_t t) {
-  ULLSNN_TRACE_SCOPE("snn.if.step_backward");
   const Tensor& u_temp = cached_utemp_[static_cast<std::size_t>(t)];
   const Tensor& prev_u = cached_prev_u_[static_cast<std::size_t>(t)];
   const float v_th = threshold_.value[0];

@@ -7,7 +7,7 @@
 namespace ullsnn::snn {
 
 SglTrainer::SglTrainer(SnnNetwork& net, SglConfig config)
-    : TrainLoop({"sgl", "sgl.train_epoch", "SglTrainer"}, net.params(), config),
+    : TrainLoop({"sgl", "SglTrainer"}, net.params(), config),
       net_(&net),
       grad_clip_norm_(config.grad_clip_norm) {}
 

@@ -4,7 +4,6 @@
 
 #include "src/dnn/trainer.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace ullsnn::snn {
 
@@ -41,7 +40,6 @@ void SnnNetwork::reset_state() {
 
 Tensor SnnNetwork::forward(const Tensor& images, bool train) {
   if (layers_.empty()) throw std::logic_error("SnnNetwork::forward: empty network");
-  ULLSNN_TRACE_SCOPE("snn.forward");
   ULLSNN_COUNTER_ADD("snn.forward.sequences", 1);
   cached_input_shape_ = images.shape();
   // Direct encoding presents the same image at every step, so the first
@@ -76,7 +74,6 @@ Tensor SnnNetwork::forward(const Tensor& images, bool train) {
 }
 
 void SnnNetwork::backward(const Tensor& grad_logits) {
-  ULLSNN_TRACE_SCOPE("snn.backward");
   for (auto& layer : layers_) layer->begin_backward();
   for (std::int64_t t = time_steps_ - 1; t >= 0; --t) {
     Tensor g = grad_logits;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 namespace ullsnn::core {
 namespace {
 
@@ -93,6 +98,80 @@ TEST(HybridPipelineTest, ConversionOnlyPath) {
   const double acc = pipeline.run_conversion_only(train, test);
   const double dnn_acc = dnn::evaluate_model(pipeline.dnn(), test, 32);
   EXPECT_GT(acc, dnn_acc - 0.25);
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::vector<std::string> split_csv(const std::string& line) {
+  std::vector<std::string> cells;
+  std::stringstream stream(line);
+  for (std::string cell; std::getline(stream, cell, ',');) cells.push_back(cell);
+  return cells;
+}
+
+TEST(HybridPipelineTest, TelemetryWritesProbeCsvAndJsonl) {
+  const data::LabeledImages train = easy_data(64, 1);
+  const data::LabeledImages test = easy_data(80, 2);  // two probed batches of <= 64
+  PipelineConfig config = tiny_pipeline_config();
+  config.dnn_train.epochs = 1;
+  config.sgl.epochs = 1;
+  config.telemetry.enabled = true;
+  config.telemetry.probe_csv_path = testing::TempDir() + "/ullsnn_pipeline_probe.csv";
+  config.telemetry.probe_jsonl_path = testing::TempDir() + "/ullsnn_pipeline_probe.jsonl";
+  HybridPipeline pipeline(config);
+  pipeline.run(train, test);
+
+  snn::SnnNetwork& net = pipeline.snn();
+  std::int64_t neuron_layers = 0;
+  for (std::int64_t i = 0; i < net.size(); ++i) {
+    if (net.layer(i).neuron_or_null() != nullptr) ++neuron_layers;
+  }
+  ASSERT_GT(neuron_layers, 0);
+  const std::int64_t probed_batches = 2;
+
+  // CSV: build-info comments, a header, then one snn.layer_activity row per
+  // neuron layer.
+  std::vector<std::string> header;
+  std::vector<std::vector<std::string>> rows;
+  for (const std::string& line : read_lines(config.telemetry.probe_csv_path)) {
+    if (line.empty() || line[0] == '#') continue;
+    if (header.empty()) {
+      header = split_csv(line);
+    } else {
+      rows.push_back(split_csv(line));
+    }
+  }
+  ASSERT_EQ(static_cast<std::int64_t>(rows.size()), neuron_layers);
+  std::size_t spikes_col = header.size();
+  for (std::size_t c = 0; c < header.size(); ++c) {
+    if (header[c] == "spikes_total") spikes_col = c;
+  }
+  ASSERT_LT(spikes_col, header.size());
+  std::int64_t csv_spikes = 0;
+  for (const std::vector<std::string>& row : rows) {
+    ASSERT_EQ(row.size(), header.size());
+    csv_spikes += std::stoll(row[spikes_col]);
+  }
+  // The probe pass is the last thing run() does to the network, right after
+  // a reset_stats(), and the probe's total equals the layer counters' total.
+  EXPECT_EQ(csv_spikes, net.total_spikes());
+  EXPECT_GT(csv_spikes, 0);
+
+  // JSONL: the same summaries plus one snn.layer_step row per neuron layer,
+  // time step and probed batch.
+  std::int64_t summaries = 0;
+  std::int64_t steps = 0;
+  for (const std::string& line : read_lines(config.telemetry.probe_jsonl_path)) {
+    if (line.find(R"("kind":"snn.layer_activity")") != std::string::npos) ++summaries;
+    if (line.find(R"("kind":"snn.layer_step")") != std::string::npos) ++steps;
+  }
+  EXPECT_EQ(summaries, neuron_layers);
+  EXPECT_EQ(steps, neuron_layers * config.conversion.time_steps * probed_batches);
 }
 
 }  // namespace

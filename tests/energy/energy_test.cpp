@@ -7,7 +7,6 @@
 #include "src/energy/energy_model.h"
 #include "src/energy/flops.h"
 #include "src/energy/memory_model.h"
-#include "src/energy/spike_monitor.h"
 #include "src/obs/probe.h"
 #include "src/snn/snn_network.h"
 #include "src/tensor/random.h"
@@ -90,7 +89,12 @@ TEST(EnergyModelTest, NeuromorphicComputeBound) {
   EXPECT_NEAR(sp, flops * 0.64, flops * 1e-6);
 }
 
-TEST(SpikeMonitorTest, MeasuresControlledRates) {
+/// Spikes per image over every probed layer.
+double spikes_per_image(const obs::SnnRuntimeProbe& probe) {
+  return static_cast<double>(probe.total_spikes()) / static_cast<double>(probe.samples());
+}
+
+TEST(LayerActivityTest, MeasuresControlledRates) {
   snn::IfConfig hot;
   hot.v_threshold = 0.5F;
   auto net = std::make_unique<snn::SnnNetwork>(4);
@@ -100,13 +104,15 @@ TEST(SpikeMonitorTest, MeasuresControlledRates) {
   data::LabeledImages dataset;
   dataset.images = Tensor({6, 4}, 2.0F);  // always drives spikes
   dataset.labels = {0, 1, 0, 1, 0, 1};
-  const ActivityReport report = measure_activity(*net, dataset, 3);
-  ASSERT_EQ(report.layers.size(), 1U);
-  EXPECT_EQ(report.samples, 6);
+  obs::SnnRuntimeProbe probe(*net, {.keep_step_stats = false});
+  snn::evaluate_snn(*net, dataset, 3);
+  const std::vector<obs::LayerSummary> layers = probe.summaries();
+  ASSERT_EQ(layers.size(), 1U);
+  EXPECT_EQ(probe.samples(), 6);
   // Every neuron spikes every step: 4 spikes per neuron per image.
-  EXPECT_NEAR(report.layers[0].spikes_per_neuron, 4.0, 1e-9);
-  EXPECT_NEAR(report.total_spikes_per_image, 4.0 * 4.0, 1e-9);
-  EXPECT_NEAR(report.mean_spikes_per_neuron(), 4.0, 1e-9);
+  EXPECT_NEAR(layers[0].spikes_per_neuron, 4.0, 1e-9);
+  EXPECT_NEAR(spikes_per_image(probe), 4.0 * 4.0, 1e-9);
+  EXPECT_NEAR(probe.mean_spikes_per_neuron(), 4.0, 1e-9);
 }
 
 /// Fully hand-computable two-layer net: identity synapse into two IF neurons
@@ -129,23 +135,25 @@ data::LabeledImages hand_dataset() {
   return dataset;
 }
 
-TEST(SpikeMonitorTest, HandComputedTwoLayerNetAtT2) {
+TEST(LayerActivityTest, HandComputedTwoLayerNetAtT2) {
   auto net = hand_net();
-  const ActivityReport report = measure_activity(*net, hand_dataset(), 4);
-  ASSERT_EQ(report.layers.size(), 1U);  // the readout has no neurons
-  EXPECT_EQ(report.samples, 4);
-  EXPECT_EQ(report.layers[0].neurons, 2);
+  obs::SnnRuntimeProbe probe(*net, {.keep_step_stats = false});
+  const double accuracy = snn::evaluate_snn(*net, hand_dataset(), 4);
+  const std::vector<obs::LayerSummary> layers = probe.summaries();
+  ASSERT_EQ(layers.size(), 1U);  // the readout has no neurons
+  EXPECT_EQ(probe.samples(), 4);
+  EXPECT_EQ(layers[0].neurons, 2);
   // 1 spike per image over 2 neurons.
-  EXPECT_DOUBLE_EQ(report.layers[0].spikes_per_neuron, 0.5);
-  EXPECT_DOUBLE_EQ(report.total_spikes_per_image, 1.0);
-  EXPECT_DOUBLE_EQ(report.mean_spikes_per_neuron(), 0.5);
+  EXPECT_DOUBLE_EQ(layers[0].spikes_per_neuron, 0.5);
+  EXPECT_DOUBLE_EQ(spikes_per_image(probe), 1.0);
+  EXPECT_DOUBLE_EQ(probe.mean_spikes_per_neuron(), 0.5);
   // Single output class: argmax is trivially the label.
-  EXPECT_DOUBLE_EQ(report.accuracy, 1.0);
+  EXPECT_DOUBLE_EQ(accuracy, 1.0);
 }
 
 TEST(SnnFlopsTest, HandComputedAcsFromMeasuredRates) {
   auto net = hand_net();
-  measure_activity(*net, hand_dataset(), 4);
+  snn::evaluate_snn(*net, hand_dataset(), 4);
   const FlopsReport r = count_snn_flops(*net, {1, 2});
   ASSERT_EQ(r.layers.size(), 2U);
   // First layer is direct-encoded: 2x2 dense MACs counted once.
@@ -156,47 +164,6 @@ TEST(SnnFlopsTest, HandComputedAcsFromMeasuredRates) {
   EXPECT_DOUBLE_EQ(r.layers[1].acs, 1.0);
   EXPECT_DOUBLE_EQ(r.total_macs, 4.0);
   EXPECT_DOUBLE_EQ(r.total_acs, 1.0);
-}
-
-TEST(SpikeMonitorTest, AgreesWithRuntimeProbeExactly) {
-  // The runtime probe and the activity report read the same layer counters;
-  // their per-layer totals must be bit-identical, not merely close.
-  Rng rng(7);
-  auto net = std::make_unique<snn::SnnNetwork>(3);
-  Tensor w1({16, 8});
-  kaiming_normal(w1, 8, rng);
-  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(w1)), snn::IfConfig{});
-  Tensor w2({4, 16});
-  kaiming_normal(w2, 16, rng);
-  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(w2)), snn::IfConfig{});
-  Tensor wr({2, 4});
-  kaiming_normal(wr, 4, rng);
-  net->emplace<snn::SynapticLayer>(snn::Synapse(std::move(wr)), std::nullopt);
-
-  data::LabeledImages dataset;
-  dataset.images = Tensor({10, 8});
-  uniform_fill(dataset.images, 0.0F, 1.0F, rng);
-  dataset.labels.assign(10, 0);
-
-  obs::SnnRuntimeProbe probe(*net);
-  const ActivityReport report = measure_activity(*net, dataset, 4);
-
-  const std::vector<obs::LayerSummary> summaries = probe.summaries();
-  ASSERT_EQ(summaries.size(), report.layers.size());
-  EXPECT_EQ(probe.samples(), report.samples);
-  double probe_total_per_image = 0.0;
-  for (std::size_t j = 0; j < summaries.size(); ++j) {
-    EXPECT_EQ(summaries[j].name, report.layers[j].name);
-    EXPECT_EQ(summaries[j].neurons, report.layers[j].neurons);
-    const double per_neuron =
-        static_cast<double>(summaries[j].spikes_total) /
-        (static_cast<double>(report.samples) *
-         static_cast<double>(summaries[j].neurons));
-    EXPECT_DOUBLE_EQ(per_neuron, report.layers[j].spikes_per_neuron);
-    probe_total_per_image += static_cast<double>(summaries[j].spikes_total) /
-                             static_cast<double>(report.samples);
-  }
-  EXPECT_DOUBLE_EQ(probe_total_per_image, report.total_spikes_per_image);
 }
 
 TEST(MemoryModelTest, SnnTrainingScalesWithT) {

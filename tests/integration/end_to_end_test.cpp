@@ -8,7 +8,7 @@
 #include "src/energy/energy_model.h"
 #include "src/energy/flops.h"
 #include "src/energy/memory_model.h"
-#include "src/energy/spike_monitor.h"
+#include "src/obs/probe.h"
 #include "src/util/serialize.h"
 
 namespace ullsnn {
@@ -47,10 +47,11 @@ TEST(EndToEndTest, PipelinePlusEnergyAccounting) {
   pipeline.run(train, test);
 
   const Shape input_shape = {1, 3, 32, 32};
-  const energy::ActivityReport activity =
-      energy::measure_activity(pipeline.snn(), test);
-  EXPECT_FALSE(activity.layers.empty());
-  EXPECT_GT(activity.total_spikes_per_image, 0.0);
+  pipeline.snn().reset_stats();
+  obs::SnnRuntimeProbe activity(pipeline.snn(), {.keep_step_stats = false});
+  snn::evaluate_snn(pipeline.snn(), test);
+  EXPECT_FALSE(activity.summaries().empty());
+  EXPECT_GT(activity.total_spikes(), 0);
 
   const energy::FlopsReport dnn_flops =
       energy::count_dnn_flops(pipeline.dnn(), input_shape);

@@ -46,8 +46,8 @@ TEST(FlightRecorderTest, RetainsRequestsAndEvents) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_STREQ(events[0].kind, "breaker");
   EXPECT_STREQ(events[0].detail, "-> degraded (T=2)");
-  // Timestamps count from the trace epoch, which is pinned at the FIRST
-  // now_us() call in the process — so the first event may legitimately read
+  // Timestamps count from the recorder epoch, which is pinned at the FIRST
+  // FlightRecorder::now_us() call in the process — so the first event may read
   // 0; what must hold is that later events advance.
   EXPECT_GT(events[1].ts_us, events[0].ts_us);
 }

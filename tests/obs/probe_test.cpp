@@ -72,7 +72,7 @@ TEST(SnnRuntimeProbe, SurvivesExternalCounterReset) {
   net->reset_stats();
   net->forward(make_input(2), false);
   const std::int64_t after_first = probe.total_spikes();
-  net->reset_stats();  // e.g. energy::measure_activity resetting mid-stream
+  net->reset_stats();  // e.g. a count_snn_flops caller resetting mid-stream
   net->forward(make_input(2), false);
   // Probe keeps its own running total; the second sequence adds the same
   // deterministic spike count on top instead of going negative.

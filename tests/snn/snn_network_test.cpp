@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/energy/spike_monitor.h"
+#include "src/obs/probe.h"
 #include "src/tensor/random.h"
 
 namespace ullsnn::snn {
@@ -66,9 +66,11 @@ TEST(SnnNetworkTest, SpikesPerNeuronNormalization) {
   data::LabeledImages batch;
   batch.images = Tensor({2, 4}, 1.5F);  // 2 samples, all neurons spike every step
   batch.labels = {0, 1};
-  const energy::ActivityReport report = energy::measure_activity(*net, batch);
-  ASSERT_EQ(report.layers.size(), 1U);  // only the hidden layer has neurons
-  EXPECT_NEAR(report.layers[0].spikes_per_neuron, 4.0, 1e-9);  // per neuron per image
+  obs::SnnRuntimeProbe probe(*net, {.keep_step_stats = false});
+  evaluate_snn(*net, batch);
+  const std::vector<obs::LayerSummary> layers = probe.summaries();
+  ASSERT_EQ(layers.size(), 1U);  // only the hidden layer has neurons
+  EXPECT_NEAR(layers[0].spikes_per_neuron, 4.0, 1e-9);  // per neuron per image
 }
 
 TEST(SnnNetworkTest, ResetStatsClearsCounters) {

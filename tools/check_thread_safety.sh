@@ -51,7 +51,6 @@ headers=(
   src/obs/ring.h
   src/obs/flight_recorder.h
   src/obs/slo.h
-  src/obs/trace.h
   src/obs/http_endpoint.h
   src/artifact/model_registry.h
   src/robust/health.h
