@@ -84,13 +84,12 @@ int main() {
   // Fig. 1(b): per-site scaling factors chosen by Algorithm 1 at T=2.
   Table sites({"site", "mu", "alpha", "beta", "V_th = alpha*mu", "|Delta| before",
                "|Delta| after"});
-  const auto all = core::find_all_scaling_factors(profile, 2);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    sites.add_row({profile.sites[i].label, Table::fmt(profile.sites[i].mu, 3),
-                   Table::fmt(all[i].alpha, 3), Table::fmt(all[i].beta, 3),
-                   Table::fmt(all[i].alpha * profile.sites[i].mu, 3),
-                   Table::fmt(std::abs(all[i].initial_loss), 2),
-                   Table::fmt(std::abs(all[i].loss), 2)});
+  for (const core::ActivationSite& s : profile.sites) {
+    const core::ScalingResult r = core::find_scaling_factors(s.percentiles, s.mu, 2);
+    sites.add_row({s.label, Table::fmt(s.mu, 3), Table::fmt(r.alpha, 3),
+                   Table::fmt(r.beta, 3), Table::fmt(r.alpha * s.mu, 3),
+                   Table::fmt(std::abs(r.initial_loss), 2),
+                   Table::fmt(std::abs(r.loss), 2)});
   }
   sites.print("Algorithm 1 per-layer scaling factors (T=2)");
   bench::write_csv(sites, "fig1_scaling.csv");

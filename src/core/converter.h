@@ -1,7 +1,7 @@
 // DNN -> SNN conversion (Sec. III-B plus the baselines it is compared to).
 //
-// All modes copy the DNN weights verbatim into an SnnNetwork with the same
-// topology; they differ only in how each IF neuron's threshold / spike
+// Every mode copies the DNN weights verbatim into an SnnNetwork with the same
+// topology; the modes differ only in how each IF neuron's threshold / spike
 // amplitude / initial charge are derived from the layer's pre-activation
 // distribution:
 //
@@ -15,14 +15,9 @@
 //                       shift. Deng et al. [15]-style conversion; d_max is an
 //                       outlier of the skewed distribution, which is exactly
 //                       why this fails at low T (Sec. III-A).
-//   kPercentileHeuristic V_th = scale * percentile(d, q). The grid-searched
-//                       threshold down-scaling heuristics of [16], [24]
-//                       (ablation: collapses at T <= 3 even with SGL).
-//   kWeightNorm         Diehl/Rueckauer [22][23] data-based weight
-//                       normalization: every threshold is 1 and layer l's
-//                       weights are rescaled by lambda_{l-1}/lambda_l with
-//                       lambda = percentile(d, q) — rate-equivalent to
-//                       threshold balancing, provided for completeness.
+//   kPercentileHeuristic V_th = percentile(d, q). The threshold down-scaling
+//                       heuristics of [16], [24] (ablation: collapses at
+//                       T <= 3 even with SGL).
 #pragma once
 
 #include <cstdint>
@@ -40,7 +35,6 @@ enum class ConversionMode {
   kThresholdReLU,
   kMaxAct,
   kPercentileHeuristic,
-  kWeightNorm,
 };
 
 const char* to_string(ConversionMode mode);
@@ -50,7 +44,6 @@ struct ConversionConfig {
   std::int64_t time_steps = 2;
   float beta_step = 0.01F;            // Algorithm 1 beta grid step
   float heuristic_percentile = 99.0F; // kPercentileHeuristic: quantile q
-  float heuristic_scale = 1.0F;       // kPercentileHeuristic: extra scale
   /// Ablation hook: when >= 0, overrides every site's initial-membrane
   /// fraction (e.g. 0.5 re-adds the bias shift to the (alpha, beta) mode the
   /// paper removed it from; 0 strips it from the baselines).
@@ -66,14 +59,16 @@ struct SiteScaling {
   float beta = 1.0F;
   float initial_membrane_fraction = 0.0F;
   float alpha = 1.0F;  // recorded for reporting; V_th already includes it
-  /// kWeightNorm only: the site's activation norm lambda. Layer l's weights
-  /// are copied as W * lambda_{l-1}/lambda_l. 1.0 (no-op) for other modes.
-  float norm_factor = 1.0F;
 };
 
 struct ConversionReport {
   std::vector<SiteScaling> sites;
-  std::vector<ScalingResult> search_results;  // only for kOursAlphaBeta
+  /// Filled by convert(): the clip threshold mu = V_th / alpha of the site
+  /// that configures each SNN layer, indexed by layer position. A residual
+  /// block reports its second site (the one governing the block's output);
+  /// layers without a neuron read 0. Feed it to
+  /// obs::SnnRuntimeProbe::set_layer_mu for live Delta tracking.
+  std::vector<float> layer_mu;
 };
 
 /// Derive per-site thresholds for `mode` from an activation profile.
@@ -81,8 +76,9 @@ ConversionReport plan_conversion(const ActivationProfile& profile,
                                  const ConversionConfig& config);
 
 /// Build the spiking twin of `model` with the planned thresholds. The DNN is
-/// walked in the same site order as collect_activations. Weights are copied
-/// (the SNN owns its parameters; SGL fine-tuning does not disturb the DNN).
+/// walked in the same site order as collect_activations. Weights are plain
+/// copies (the SNN owns its parameters; SGL fine-tuning does not disturb the
+/// DNN).
 std::unique_ptr<snn::SnnNetwork> convert(dnn::Sequential& model,
                                          const ActivationProfile& profile,
                                          const ConversionConfig& config,
@@ -93,13 +89,5 @@ std::unique_ptr<snn::SnnNetwork> convert(dnn::Sequential& model,
                                          const data::LabeledImages& calibration,
                                          const ConversionConfig& config,
                                          ConversionReport* report_out = nullptr);
-
-/// Per-layer clip thresholds mu (= V_th / alpha) for a converted network,
-/// indexed by SNN layer position; 0 for layers without neurons. Walks the
-/// network in the same site order as convert() (a residual block consumes two
-/// sites and reports its second — the one governing the block's output).
-/// Feed the result to obs::SnnRuntimeProbe::set_layer_mu for live Delta
-/// tracking.
-std::vector<float> per_layer_mu(snn::SnnNetwork& net, const ConversionReport& report);
 
 }  // namespace ullsnn::core

@@ -47,22 +47,6 @@ double estimate_h(const std::vector<float>& s_samples, float mu, std::int64_t t)
   return h;
 }
 
-double estimate_h_no_bias(const std::vector<float>& s_samples, float mu,
-                          std::int64_t t) {
-  check(mu, t);
-  const double step = static_cast<double>(mu) / static_cast<double>(t);
-  double h = 0.0;
-  for (std::int64_t i = 1; i <= t - 1; ++i) {
-    const double g = fraction_in(s_samples, static_cast<double>(i) * step,
-                                 static_cast<double>(i + 1) * step);
-    h += (static_cast<double>(i) / static_cast<double>(t)) * g;
-  }
-  h += fraction_in(s_samples, static_cast<double>(t) * step,
-                   std::max(static_cast<double>(mu),
-                            static_cast<double>(t) * step));
-  return h;
-}
-
 float dnn_activation(float d, float mu) {
   return std::clamp(d, 0.0F, mu);
 }

@@ -26,11 +26,6 @@ double estimate_k(const std::vector<float>& d_samples, float mu);
 /// [(i-1/2) mu/T, (i+1/2) mu/T).
 double estimate_h(const std::vector<float>& s_samples, float mu, std::int64_t t);
 
-/// h'(T, mu): the bias-free variant after the paper removes the shift
-/// (Sec. III-B): steps integrate over [i mu/T, (i+1) mu/T).
-double estimate_h_no_bias(const std::vector<float>& s_samples, float mu,
-                          std::int64_t t);
-
 /// DNN threshold-ReLU transfer: clip(d, 0, mu).
 float dnn_activation(float d, float mu);
 

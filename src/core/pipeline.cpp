@@ -70,7 +70,6 @@ verify::VerifyOptions preflight_options(const PipelineConfig& config) {
   options.conversion_config = config.conversion;
   options.delta_identity_required = config.telemetry.enabled;
   options.tape = config.verify.tape;
-  options.tape_backward = config.verify.tape;
   return options;
 }
 
@@ -198,7 +197,7 @@ PipelineResult HybridPipeline::run(const data::LabeledImages& train,
   // activation sites before spending the SGL fine-tuning epochs.
   if (config_.verify.mode != VerifyGateConfig::Mode::kOff) {
     apply_verify_gate(
-        verify::check_conversion_report(result.conversion_report, config_.conversion,
+        verify::check_conversion_report(result.conversion_report,
                                         verify::count_activation_sites(*dnn_)),
         "report");
   }
@@ -229,7 +228,7 @@ void HybridPipeline::run_probed_inference(const data::LabeledImages& test,
   obs::SnnRuntimeProbe::Config probe_cfg;
   probe_cfg.keep_step_stats = !tel.probe_jsonl_path.empty();
   obs::SnnRuntimeProbe probe(*snn_, probe_cfg);
-  probe.set_layer_mu(per_layer_mu(*snn_, report));
+  probe.set_layer_mu(report.layer_mu);
   snn_->reset_stats();
   snn::evaluate_snn(*snn_, probe_set);
 
@@ -251,20 +250,6 @@ void HybridPipeline::run_probed_inference(const data::LabeledImages& test,
               static_cast<long long>(probe.total_spikes()),
               probe.summaries().size());
   }
-}
-
-double HybridPipeline::run_conversion_only(const data::LabeledImages& train,
-                                           const data::LabeledImages& test) {
-  if (!dnn_) {
-    Rng rng(config_.weight_seed);
-    dnn_ = build_model(config_.arch, config_.model, rng);
-    dnn::TrainConfig dnn_cfg = config_.dnn_train;
-    dnn_cfg.verbose = config_.verbose;
-    dnn::DnnTrainer dnn_trainer(*dnn_, dnn_cfg);
-    dnn_trainer.fit(train);
-  }
-  snn_ = convert(*dnn_, train, config_.conversion, nullptr);
-  return snn::evaluate_snn(*snn_, test);
 }
 
 dnn::Sequential& HybridPipeline::dnn() {

@@ -102,11 +102,6 @@ class HybridPipeline {
   dnn::Sequential& dnn();
   snn::SnnNetwork& snn();
 
-  /// Stage (a)+(b) only: returns the converted accuracy without SGL (the
-  /// conversion-only sweeps of Fig. 2 and the ablation reuse this).
-  double run_conversion_only(const data::LabeledImages& train,
-                             const data::LabeledImages& test);
-
   /// The static preflight on its own: builds the (untrained) model and runs
   /// the graph + conversion-precondition checks without applying the gate
   /// mode. Useful for dry-running a config before committing to a run.

@@ -1,5 +1,6 @@
 #include "src/core/scaling_search.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -83,18 +84,6 @@ ScalingResult find_scaling_factors_linear(const std::vector<float>& percentiles,
     alphas.push_back(static_cast<float>(i) / static_cast<float>(grid_points));
   }
   return search_over_alphas(alphas, percentiles, mu, time_steps, beta_step);
-}
-
-std::vector<ScalingResult> find_all_scaling_factors(const ActivationProfile& profile,
-                                                    std::int64_t time_steps,
-                                                    float beta_step) {
-  std::vector<ScalingResult> results;
-  results.reserve(profile.sites.size());
-  for (const ActivationSite& site : profile.sites) {
-    results.push_back(
-        find_scaling_factors(site.percentiles, site.mu, time_steps, beta_step));
-  }
-  return results;
 }
 
 }  // namespace ullsnn::core

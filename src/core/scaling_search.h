@@ -17,8 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/core/activation_collector.h"
-
 namespace ullsnn::core {
 
 struct ScalingResult {
@@ -30,6 +28,12 @@ struct ScalingResult {
 
 /// ComputeLoss of Algorithm 1: signed activation gap accumulated over the
 /// percentile samples `P` for the given scaling factors.
+///
+/// Boundary convention: Seg-I caps the spike count at T-1, so a sample at
+/// exactly p = alpha*mu scores j = T-1 spikes and a gap of alpha*beta*mu/T.
+/// The IF neuron, and snn_activation() that is pinned to it, emits T spikes
+/// there (a gap of 0 when beta = 1). Every candidate alpha = P[j]/mu puts
+/// percentile j on this boundary.
 double compute_scaling_loss(const std::vector<float>& percentiles, float mu,
                             float alpha, float beta, std::int64_t time_steps);
 
@@ -43,10 +47,5 @@ ScalingResult find_scaling_factors_linear(const std::vector<float>& percentiles,
                                           float mu, std::int64_t time_steps,
                                           std::int64_t grid_points = 100,
                                           float beta_step = 0.01F);
-
-/// Run the chosen search over every site of a profile.
-std::vector<ScalingResult> find_all_scaling_factors(const ActivationProfile& profile,
-                                                    std::int64_t time_steps,
-                                                    float beta_step = 0.01F);
 
 }  // namespace ullsnn::core

@@ -87,8 +87,8 @@ class SnnRuntimeProbe final : public snn::StepObserver {
 
   /// Per-network-layer clip thresholds mu for the Delta estimate, indexed by
   /// layer position (entries for non-neuron layers are ignored; 0 entries
-  /// fall back to the neuron's V_th, i.e. alpha = 1). See
-  /// core::per_layer_mu() for deriving this from a ConversionReport.
+  /// fall back to the neuron's V_th, i.e. alpha = 1). core::convert() fills
+  /// ConversionReport::layer_mu in this form.
   void set_layer_mu(std::vector<float> mu_by_layer);
 
   // snn::StepObserver

@@ -1,13 +1,14 @@
 // Model-checker instrumentation points for lock-free code.
 //
-// The deterministic interleaving explorer (src/sched/sched.h) serializes
-// real threads and only switches between them at *decision points*. For
-// mutex-based structures, op-call granularity is enough — each public
-// operation is atomic under its lock, so interleaving whole calls covers
-// every observable schedule. Lock-free algorithms (the flight-recorder ring,
-// Gauge's CAS loop) have races *inside* one call, so those sites carry an
-// ULLSNN_TEST_POINT("name") marker at each capability-free program point
-// where a context switch could change the outcome.
+// The deterministic interleaving explorer (tests/sched/sched.h, built only
+// into the sched tests) serializes real threads and only switches between
+// them at *decision points*. For mutex-based structures, op-call
+// granularity is enough — each public operation is atomic under its lock,
+// so interleaving whole calls covers every observable schedule. Lock-free
+// algorithms (the flight-recorder ring, Gauge's CAS loop) have races *inside*
+// one call, so those sites carry an ULLSNN_TEST_POINT("name") marker at each
+// capability-free program point where a context switch could change the
+// outcome.
 //
 // Production cost: one relaxed load of a null function pointer and an
 // untaken branch — no fence, no call. The hook is process-global and only
@@ -30,7 +31,7 @@ using TestPointFn = void (*)(const char* name);
 /// relaxed: the hook is installed before any model thread starts and removed
 /// after all join; within a run the pointer never changes, so no ordering is
 /// needed — thread creation/join provide the happens-before edges.
-extern std::atomic<TestPointFn> g_test_point;
+inline std::atomic<TestPointFn> g_test_point{nullptr};
 
 inline void test_point(const char* name) noexcept {
   TestPointFn fn = g_test_point.load(std::memory_order_relaxed);

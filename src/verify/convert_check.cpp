@@ -211,7 +211,6 @@ VerifyReport check_conversion_preconditions(dnn::Sequential& model,
 }
 
 VerifyReport check_conversion_report(const core::ConversionReport& report_in,
-                                     const core::ConversionConfig& config,
                                      std::int64_t expected_sites) {
   VerifyReport report;
   if (expected_sites >= 0 &&
@@ -232,9 +231,8 @@ VerifyReport check_conversion_report(const core::ConversionReport& report_in,
       report.diagnostics.push_back(make_diagnostic("C006", site, name, what, hint));
     };
     if (!std::isfinite(s.v_threshold) || !std::isfinite(s.alpha) ||
-        !std::isfinite(s.beta) || !std::isfinite(s.initial_membrane_fraction) ||
-        !std::isfinite(s.norm_factor)) {
-      bad("non-finite scaling entry (alpha/beta/V_th/fraction/norm)",
+        !std::isfinite(s.beta) || !std::isfinite(s.initial_membrane_fraction)) {
+      bad("non-finite scaling entry (alpha/beta/V_th/fraction)",
           "re-run Algorithm 1 on a finite activation profile");
       continue;
     }
@@ -257,19 +255,6 @@ VerifyReport check_conversion_report(const core::ConversionReport& report_in,
               " outside [0, 1]",
           "the Deng-style bias shift corresponds to fraction 0.5; ours uses 0");
     }
-    if (s.norm_factor <= 0.0F) {
-      bad("weight-norm factor " + std::to_string(s.norm_factor) + " <= 0",
-          "activation norms are positive by construction; recollect the profile");
-    }
-  }
-  if (config.mode == core::ConversionMode::kOursAlphaBeta &&
-      !report_in.search_results.empty() &&
-      report_in.search_results.size() != report_in.sites.size()) {
-    std::ostringstream msg;
-    msg << "Algorithm 1 produced " << report_in.search_results.size()
-        << " search results for " << report_in.sites.size() << " sites";
-    report.diagnostics.push_back(make_diagnostic(
-        "C005", -1, "", msg.str(), "re-plan the conversion from a single profile"));
   }
   return report;
 }

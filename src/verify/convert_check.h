@@ -35,7 +35,6 @@ VerifyReport check_conversion_preconditions(dnn::Sequential& model,
 /// count when known (pass count_activation_sites(model)); -1 skips the
 /// site-count rule.
 VerifyReport check_conversion_report(const core::ConversionReport& report,
-                                     const core::ConversionConfig& config,
                                      std::int64_t expected_sites = -1);
 
 /// Activation sites in converter order (one per ThresholdReLU, two per

@@ -14,22 +14,18 @@
 
 namespace ullsnn::verify {
 
+/// The graph and conversion-precondition checks always run.
 struct VerifyOptions {
   /// [N, C, H, W] model input; required for the graph checks.
   Shape input_shape;
-  bool graph = true;
-  bool conversion = true;
-  /// Tape invariants (structural rules always run when enabled; the
-  /// synthetic-pass T004 rule additionally requires tape_backward).
+  /// Tape invariants: the structural rules plus the synthetic
+  /// forward/backward T004 pass (which runs only once the static checks came
+  /// back clean).
   bool tape = false;
-  bool tape_backward = false;
   core::ConversionConfig conversion_config;
   /// Escalates C007 (delta-identity) to an error; set when a live Delta
   /// consumer (runtime probe) is configured.
   bool delta_identity_required = false;
-  /// When non-null, the planned report is validated against the model's
-  /// activation-site count (C005/C006).
-  const core::ConversionReport* report = nullptr;
 };
 
 VerifyReport verify_model(dnn::Sequential& model, const VerifyOptions& options);

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/dnn/activations.h"
 #include "src/dnn/conv2d.h"
 #include "src/dnn/dropout.h"
 #include "src/dnn/linear.h"
 #include "src/dnn/models.h"
 #include "src/dnn/pooling.h"
+#include "src/dnn/residual.h"
 #include "src/dnn/trainer.h"
 
 namespace ullsnn::core {
@@ -43,6 +46,49 @@ data::LabeledImages small_data(std::int64_t n = 64, bool easy = false) {
   data::LabeledImages d = gen.generate(n, 1);
   data::standardize(d);
   return d;
+}
+
+std::unique_ptr<dnn::Sequential> small_resnet(Rng& rng) {
+  dnn::ModelConfig mc;
+  mc.width = 0.125F;
+  mc.num_classes = 3;
+  mc.image_size = 8;
+  return dnn::build_resnet(20, mc, rng);
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * static_cast<std::size_t>(a.numel())) == 0;
+}
+
+/// V_th / alpha of `site`: the clip threshold the converter reports for the
+/// layer that site configures.
+float site_mu(const SiteScaling& site) {
+  return site.alpha > 0.0F ? site.v_threshold / site.alpha : site.v_threshold;
+}
+
+/// Checks `report.layer_mu` against an independent walk over the converted
+/// network: a residual block consumes two sites and reports its second, any
+/// other layer with a neuron consumes one, and the rest read 0.
+void expect_layer_mu_matches_sites(snn::SnnNetwork& net, const ConversionReport& report) {
+  ASSERT_EQ(report.layer_mu.size(), static_cast<std::size_t>(net.size()));
+  std::size_t site = 0;
+  for (std::int64_t i = 0; i < net.size(); ++i) {
+    const float mu = report.layer_mu[static_cast<std::size_t>(i)];
+    snn::SpikingLayer& layer = net.layer(i);
+    if (dynamic_cast<snn::SpikingResidualBlock*>(&layer) != nullptr) {
+      ASSERT_LT(site + 1, report.sites.size());
+      EXPECT_EQ(mu, site_mu(report.sites[site + 1])) << "layer " << i;
+      site += 2;
+    } else if (layer.neuron_or_null() != nullptr) {
+      ASSERT_LT(site, report.sites.size());
+      EXPECT_EQ(mu, site_mu(report.sites[site])) << "layer " << i;
+      site += 1;
+    } else {
+      EXPECT_EQ(mu, 0.0F) << "layer " << i;
+    }
+  }
+  EXPECT_EQ(site, report.sites.size());
 }
 
 TEST(CollectorTest, FindsAllSites) {
@@ -93,14 +139,13 @@ TEST(PlanConversionTest, ModesDeriveExpectedThresholds) {
 
   config.mode = ConversionMode::kPercentileHeuristic;
   config.heuristic_percentile = 50.0F;
-  config.heuristic_scale = 0.8F;
   r = plan_conversion(profile, config);
-  EXPECT_NEAR(r.sites[0].v_threshold, 0.8F * 1.0F, 1e-4F);
+  EXPECT_NEAR(r.sites[0].v_threshold, 1.0F, 1e-4F);
   EXPECT_FLOAT_EQ(r.sites[0].initial_membrane_fraction, 0.0F);
 
   config.mode = ConversionMode::kOursAlphaBeta;
   r = plan_conversion(profile, config);
-  ASSERT_EQ(r.search_results.size(), 1U);
+  ASSERT_EQ(r.sites.size(), 1U);
   EXPECT_FLOAT_EQ(r.sites[0].v_threshold, r.sites[0].alpha * site.mu);
   EXPECT_FLOAT_EQ(r.sites[0].initial_membrane_fraction, 0.0F);
 }
@@ -128,15 +173,116 @@ TEST(ConvertTest, WeightsAreCopies) {
   const auto data = small_data();
   ConversionConfig config;
   auto net = convert(*model, data, config, nullptr);
-  auto* sconv = dynamic_cast<snn::SynapticLayer*>(&net->layer(0));
-  ASSERT_NE(sconv, nullptr);
-  ASSERT_EQ(sconv->synapse().kind(), snn::Synapse::Kind::kConv);
-  auto* dconv = dynamic_cast<dnn::Conv2d*>(&model->layer(0));
-  ASSERT_NE(dconv, nullptr);
-  EXPECT_TRUE(sconv->synapse().weight().value.allclose(dconv->weight().value));
+  // Every DNN conv/linear weight, in order, against every SynapticLayer's,
+  // readout included.
+  std::vector<Tensor*> dnn_weights;
+  for (std::int64_t i = 0; i < model->size(); ++i) {
+    if (auto* conv = dynamic_cast<dnn::Conv2d*>(&model->layer(i))) {
+      dnn_weights.push_back(&conv->weight().value);
+    } else if (auto* linear = dynamic_cast<dnn::Linear*>(&model->layer(i))) {
+      dnn_weights.push_back(&linear->weight().value);
+    }
+  }
+  std::vector<snn::SynapticLayer*> synaptic;
+  for (std::int64_t i = 0; i < net->size(); ++i) {
+    if (auto* layer = dynamic_cast<snn::SynapticLayer*>(&net->layer(i))) {
+      synaptic.push_back(layer);
+    }
+  }
+  ASSERT_EQ(synaptic.size(), 3U);
+  ASSERT_EQ(synaptic.size(), dnn_weights.size());
+  EXPECT_FALSE(synaptic.back()->has_neuron());  // the readout
+  for (std::size_t k = 0; k < synaptic.size(); ++k) {
+    EXPECT_TRUE(bitwise_equal(synaptic[k]->synapse().weight().value, *dnn_weights[k]))
+        << "synaptic layer " << k;
+  }
   // Mutating the SNN copy must not touch the DNN.
-  sconv->synapse().weight().value[0] += 1.0F;
-  EXPECT_FALSE(sconv->synapse().weight().value.allclose(dconv->weight().value));
+  synaptic[0]->synapse().weight().value[0] += 1.0F;
+  EXPECT_FALSE(bitwise_equal(synaptic[0]->synapse().weight().value, *dnn_weights[0]));
+}
+
+TEST(ConvertTest, ResidualWeightsAreCopies) {
+  Rng rng(8);
+  auto model = small_resnet(rng);
+  const auto data = small_data();
+  ConversionConfig config;
+  config.time_steps = 2;
+  auto net = convert(*model, data, config, nullptr);
+  std::vector<dnn::ResidualBlock*> dnn_blocks;
+  for (std::int64_t i = 0; i < model->size(); ++i) {
+    if (auto* block = dynamic_cast<dnn::ResidualBlock*>(&model->layer(i))) {
+      dnn_blocks.push_back(block);
+    }
+  }
+  std::vector<snn::SpikingResidualBlock*> snn_blocks;
+  for (std::int64_t i = 0; i < net->size(); ++i) {
+    if (auto* block = dynamic_cast<snn::SpikingResidualBlock*>(&net->layer(i))) {
+      snn_blocks.push_back(block);
+    }
+  }
+  ASSERT_EQ(snn_blocks.size(), dnn_blocks.size());
+  std::int64_t projections = 0;
+  for (std::size_t k = 0; k < dnn_blocks.size(); ++k) {
+    dnn::ResidualBlock& d = *dnn_blocks[k];
+    snn::SpikingResidualBlock& s = *snn_blocks[k];
+    EXPECT_TRUE(bitwise_equal(s.conv1_synapse().weight().value, d.conv1().weight().value))
+        << "block " << k << " conv1";
+    EXPECT_TRUE(bitwise_equal(s.conv2_synapse().weight().value, d.conv2().weight().value))
+        << "block " << k << " conv2";
+    ASSERT_EQ(s.projection_synapse_or_null() != nullptr, d.has_projection()) << "block " << k;
+    if (d.has_projection()) {
+      ++projections;
+      EXPECT_TRUE(bitwise_equal(s.projection_synapse_or_null()->weight().value,
+                                d.projection().weight().value))
+          << "block " << k << " projection";
+    }
+  }
+  EXPECT_GT(projections, 0);
+}
+
+TEST(ConvertTest, LayerMuFollowsSites) {
+  Rng rng(9);
+  auto model = small_dnn(rng);
+  const auto data = small_data();
+  ConversionConfig config;
+  config.time_steps = 2;
+  ConversionReport report;
+  auto net = convert(*model, data, config, &report);
+  // conv(site 0), pool, flatten, dropout, fc(site 1), readout.
+  ASSERT_EQ(report.layer_mu.size(), 6U);
+  EXPECT_EQ(report.layer_mu[0], site_mu(report.sites[0]));
+  EXPECT_EQ(report.layer_mu[4], site_mu(report.sites[1]));
+  for (const std::size_t k : {1U, 2U, 3U, 5U}) EXPECT_EQ(report.layer_mu[k], 0.0F);
+  EXPECT_GT(report.layer_mu[0], 0.0F);
+  expect_layer_mu_matches_sites(*net, report);
+}
+
+TEST(ConvertTest, LayerMuReportsResidualSecondSite) {
+  Rng rng(10);
+  auto model = small_resnet(rng);
+  // Distinct clip thresholds inside each block, so its two sites differ.
+  for (std::int64_t i = 0; i < model->size(); ++i) {
+    if (auto* block = dynamic_cast<dnn::ResidualBlock*>(&model->layer(i))) {
+      block->act1().set_mu(1.5F);
+      block->act2().set_mu(3.0F);
+    }
+  }
+  const auto data = small_data();
+  ConversionConfig config;
+  config.time_steps = 2;
+  ConversionReport report;
+  auto net = convert(*model, data, config, &report);
+  expect_layer_mu_matches_sites(*net, report);
+  // The first residual block follows the stem conv (site 0), so it holds
+  // sites 1 and 2 and reports site 2.
+  std::int64_t first_block = -1;
+  for (std::int64_t i = 0; i < net->size() && first_block < 0; ++i) {
+    if (dynamic_cast<snn::SpikingResidualBlock*>(&net->layer(i)) != nullptr) first_block = i;
+  }
+  ASSERT_GE(first_block, 0);
+  ASSERT_NE(net->layer(0).neuron_or_null(), nullptr);
+  ASSERT_NE(site_mu(report.sites[1]), site_mu(report.sites[2]));  // tells them apart
+  EXPECT_EQ(report.layer_mu[static_cast<std::size_t>(first_block)], site_mu(report.sites[2]));
 }
 
 TEST(ConvertTest, HighTApproachesDnnAccuracy) {
@@ -195,11 +341,7 @@ TEST(ConvertTest, SiteCountMismatchThrows) {
 
 TEST(ConvertTest, ResNetConversionBuildsResidualBlocks) {
   Rng rng(7);
-  dnn::ModelConfig mc;
-  mc.width = 0.125F;
-  mc.num_classes = 3;
-  mc.image_size = 8;
-  auto model = dnn::build_resnet(20, mc, rng);
+  auto model = small_resnet(rng);
   const auto data = small_data();
   ConversionConfig config;
   config.time_steps = 2;

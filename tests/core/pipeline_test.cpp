@@ -70,10 +70,11 @@ TEST(HybridPipelineTest, EndToEndStagesAreConsistent) {
   // so a tight DNN-relative bar flips on single test samples whenever FP
   // summation order changes (e.g. kernel blocking).
   EXPECT_GT(result.sgl_accuracy, 0.42);
-  // Conversion report carries one entry per activation site.
+  // Conversion report carries one entry per activation site and one clip
+  // threshold per SNN layer.
   EXPECT_FALSE(result.conversion_report.sites.empty());
-  EXPECT_EQ(result.conversion_report.sites.size(),
-            result.conversion_report.search_results.size());
+  EXPECT_EQ(result.conversion_report.layer_mu.size(),
+            static_cast<std::size_t>(pipeline.snn().size()));
   // Accessors work after run().
   EXPECT_NO_THROW(pipeline.dnn());
   EXPECT_NO_THROW(pipeline.snn());
@@ -84,20 +85,6 @@ TEST(HybridPipelineTest, AccessorsThrowBeforeRun) {
   HybridPipeline pipeline(tiny_pipeline_config());
   EXPECT_THROW(pipeline.dnn(), std::logic_error);
   EXPECT_THROW(pipeline.snn(), std::logic_error);
-}
-
-TEST(HybridPipelineTest, ConversionOnlyPath) {
-  const data::LabeledImages train = easy_data(128, 1);
-  const data::LabeledImages test = easy_data(32, 2);
-  PipelineConfig config = tiny_pipeline_config();
-  config.conversion.time_steps = 32;  // high T: conversion should track DNN
-  // Threshold-ReLU conversion is the asymptotically-exact mode; the
-  // (alpha, beta) search optimizes the low-T regime instead.
-  config.conversion.mode = ConversionMode::kThresholdReLU;
-  HybridPipeline pipeline(config);
-  const double acc = pipeline.run_conversion_only(train, test);
-  const double dnn_acc = dnn::evaluate_model(pipeline.dnn(), test, 32);
-  EXPECT_GT(acc, dnn_acc - 0.25);
 }
 
 std::vector<std::string> read_lines(const std::string& path) {

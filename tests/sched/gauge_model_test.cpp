@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/sched/sched.h"
+#include "tests/sched/sched.h"
 
 namespace ullsnn::obs {
 namespace {

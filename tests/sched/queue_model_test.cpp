@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "src/sched/sched.h"
+#include "tests/sched/sched.h"
 #include "src/serve/bounded_queue.h"
 
 namespace ullsnn::serve {

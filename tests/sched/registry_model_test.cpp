@@ -10,7 +10,7 @@
 // hook_test_points stays OFF here: registry methods hold mu_ across calls
 // that reach ULLSNN_TEST_POINT sites, and parking a thread that holds a real
 // mutex would wedge any body blocked on the same mutex (see the model rules
-// in src/sched/sched.h). Explicit yield_point()s between operations are the
+// in tests/sched/sched.h). Explicit yield_point()s between operations are the
 // decision points instead.
 #include "src/artifact/model_registry.h"
 
@@ -23,7 +23,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/sched/sched.h"
+#include "tests/sched/sched.h"
 #include "src/snn/snn_network.h"
 #include "src/snn/spiking_layers.h"
 #include "src/tensor/random.h"

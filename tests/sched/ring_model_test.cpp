@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "src/obs/ring.h"
-#include "src/sched/sched.h"
+#include "tests/sched/sched.h"
 
 namespace ullsnn::obs {
 namespace {

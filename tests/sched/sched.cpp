@@ -1,4 +1,4 @@
-#include "src/sched/sched.h"
+#include "tests/sched/sched.h"
 
 #include <algorithm>
 #include <condition_variable>
@@ -8,8 +8,6 @@
 #include <utility>
 
 namespace ullsnn::sched {
-
-std::atomic<TestPointFn> g_test_point{nullptr};
 
 std::uint64_t splitmix64(std::uint64_t& state) {
   state += 0x9E3779B97F4A7C15ULL;

@@ -2,7 +2,7 @@
 // round-trips, determinism (same forced prefix => same interleaving), DFS
 // distinctness, the wedged-body watchdog, and the core workflow the suite
 // exists for — a seeded bug whose failing schedule replays from its string.
-#include "src/sched/sched.h"
+#include "tests/sched/sched.h"
 
 #include <gtest/gtest.h>
 

@@ -8,7 +8,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/sched/sched.h"
+#include "tests/sched/sched.h"
 #include "src/serve/request.h"
 
 namespace ullsnn::serve {

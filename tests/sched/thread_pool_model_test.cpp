@@ -15,7 +15,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/sched/sched.h"
+#include "tests/sched/sched.h"
 #include "src/util/parallel.h"
 
 namespace ullsnn {

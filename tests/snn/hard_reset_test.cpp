@@ -1,12 +1,12 @@
-// Tests for the hard-reset neuron variant and the Diehl/Rueckauer
-// weight-normalization conversion mode.
+// Tests for the hard-reset neuron variant and its propagation through
+// conversion.
 #include <gtest/gtest.h>
 
 #include "src/core/converter.h"
+#include "src/data/synthetic_cifar.h"
 #include "src/dnn/activations.h"
 #include "src/dnn/conv2d.h"
 #include "src/dnn/linear.h"
-#include "src/dnn/trainer.h"
 #include "src/snn/neuron.h"
 
 namespace ullsnn::snn {
@@ -50,82 +50,6 @@ TEST(HardResetTest, UnderCountsRateVsSoftReset) {
   // surplus on every even step: rate ~ 0.5.
   EXPECT_NEAR(static_cast<double>(soft.spikes_emitted()) / steps, 0.85, 0.03);
   EXPECT_LT(hard.spikes_emitted(), soft.spikes_emitted());
-}
-
-// Weight-normalized conversion: thresholds 1, weights rescaled; at high T it
-// must track the DNN like threshold balancing does (rate equivalence).
-TEST(WeightNormConversionTest, HighTTracksDnn) {
-  data::SyntheticCifarSpec spec;
-  spec.image_size = 8;
-  spec.num_classes = 3;
-  spec.sign_flip_prob = 0.0F;
-  spec.occluder_prob = 0.0F;
-  spec.noise_stddev = 0.1F;
-  data::SyntheticCifar gen(spec);
-  data::LabeledImages train = gen.generate(256, 1);
-  data::standardize(train);
-
-  Rng rng(1);
-  dnn::Sequential model;
-  model.emplace<dnn::Conv2d>(3, 8, 3, 1, 1, false, rng);
-  model.emplace<dnn::ThresholdReLU>(1.0F);
-  model.emplace<dnn::Flatten>();
-  model.emplace<dnn::Linear>(8 * 8 * 8, 8, false, rng);
-  model.emplace<dnn::ThresholdReLU>(1.0F);
-  model.emplace<dnn::Linear>(8, 3, false, rng);
-
-  dnn::TrainConfig tc;
-  tc.epochs = 15;
-  tc.augment = false;
-  dnn::DnnTrainer trainer(model, tc);
-  trainer.fit(train);
-  const double dnn_acc = trainer.evaluate(train);
-  ASSERT_GT(dnn_acc, 0.7);
-
-  core::ConversionConfig cc;
-  cc.mode = core::ConversionMode::kWeightNorm;
-  cc.heuristic_percentile = 99.5F;
-  cc.time_steps = 64;
-  core::ConversionReport report;
-  auto net = core::convert(model, train, cc, &report);
-  // All thresholds are exactly 1 in this mode.
-  for (const auto& site : report.sites) {
-    EXPECT_FLOAT_EQ(site.v_threshold, 1.0F);
-    EXPECT_GT(site.norm_factor, 0.0F);
-  }
-  const double snn_acc = evaluate_snn(*net, train);
-  EXPECT_GT(snn_acc, dnn_acc - 0.15);
-}
-
-TEST(WeightNormConversionTest, WeightsAreRescaledCopies) {
-  data::SyntheticCifarSpec spec;
-  spec.image_size = 8;
-  spec.num_classes = 3;
-  data::SyntheticCifar gen(spec);
-  data::LabeledImages calib = gen.generate(32, 1);
-  data::standardize(calib);
-
-  Rng rng(2);
-  dnn::Sequential model;
-  model.emplace<dnn::Conv2d>(3, 4, 3, 1, 1, false, rng);
-  model.emplace<dnn::ThresholdReLU>(1.0F);
-  model.emplace<dnn::Flatten>();
-  model.emplace<dnn::Linear>(4 * 8 * 8, 3, false, rng);
-
-  core::ConversionConfig cc;
-  cc.mode = core::ConversionMode::kWeightNorm;
-  cc.time_steps = 4;
-  core::ConversionReport report;
-  auto net = core::convert(model, calib, cc, &report);
-  ASSERT_EQ(report.sites.size(), 1U);
-  const float lambda = report.sites[0].norm_factor;
-  auto* sconv = dynamic_cast<SynapticLayer*>(&net->layer(0));
-  ASSERT_NE(sconv, nullptr);
-  ASSERT_EQ(sconv->synapse().kind(), Synapse::Kind::kConv);
-  auto* dconv = dynamic_cast<dnn::Conv2d*>(&model.layer(0));
-  // Conv weights scaled by 1/lambda; readout scaled back by lambda.
-  Tensor expected = dconv->weight().value * (1.0F / lambda);
-  EXPECT_TRUE(sconv->synapse().weight().value.allclose(expected, 1e-5F));
 }
 
 TEST(ConversionConfigTest, HardResetPropagates) {

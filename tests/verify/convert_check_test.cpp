@@ -95,11 +95,11 @@ TEST(ConvertCheckTest, C004TrailingConv) {
 TEST(ConvertCheckTest, C005SiteCountMismatch) {
   core::ConversionReport plan;
   plan.sites.resize(3);  // model below exposes 1 site
-  const VerifyReport report = check_conversion_report(plan, {}, /*expected_sites=*/1);
+  const VerifyReport report = check_conversion_report(plan, /*expected_sites=*/1);
   EXPECT_TRUE(report.has_rule("C005"));
-  EXPECT_TRUE(check_conversion_report(plan, {}, /*expected_sites=*/3).empty());
+  EXPECT_TRUE(check_conversion_report(plan, /*expected_sites=*/3).empty());
   // -1 disables the count rule entirely.
-  EXPECT_FALSE(check_conversion_report(plan, {}, -1).has_rule("C005"));
+  EXPECT_FALSE(check_conversion_report(plan, -1).has_rule("C005"));
 }
 
 TEST(ConvertCheckTest, C006ScalingRanges) {
@@ -109,7 +109,7 @@ TEST(ConvertCheckTest, C006ScalingRanges) {
   plan.sites[1].beta = 2.5F;                                        // outside (0, 2]
   plan.sites[2].alpha = std::numeric_limits<float>::quiet_NaN();    // non-finite
   plan.sites[3].initial_membrane_fraction = 1.5F;                   // outside [0, 1]
-  const VerifyReport report = check_conversion_report(plan, {}, 4);
+  const VerifyReport report = check_conversion_report(plan, 4);
   EXPECT_TRUE(report.has_rule("C006"));
   EXPECT_EQ(report.error_count(), 4);
 }

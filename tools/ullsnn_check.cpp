@@ -145,7 +145,6 @@ verify::VerifyReport run_check(CliOptions options) {
   verify_options.conversion_config = options.conversion;
   verify_options.delta_identity_required = options.delta_required;
   verify_options.tape = options.tape;
-  verify_options.tape_backward = options.tape;
   return verify::verify_model(*model, verify_options);
 }
 
